@@ -17,7 +17,7 @@ import numpy as np
 
 from . import errors
 from .data import SYNTH_KINDS, Dataset, load_csv, one_class_split, synth, write_csv
-from .inference import anomaly_score, calibrate_eta, classify, compute_metrics
+from .inference import anomaly_score, calibrate_eta, classify, compute_metrics, roc_points
 from .kernels import FAMILIES, KernelSpec, ensure_pd, gram
 from .kods import KodsHyper, KodsModel, build_kods_problem, kods_scores_batch, kods_train
 from .persistence import data_fingerprint, load_model, save_model
@@ -34,13 +34,6 @@ from .solver import SolverConfig, fd_gradient_check
 GRADCHECK_TOL = 1e-5
 _INPUT_ERRORS = errors.INPUT_ERRORS + (FileNotFoundError, IsADirectoryError, PermissionError, OSError)
 _NUMERIC_ERRORS = errors.NUMERIC_ERRORS + (np.linalg.LinAlgError,)
-
-
-def _solver_config(args) -> SolverConfig:
-    cfg = SolverConfig()
-    if getattr(args, "max_iters", None) is not None:
-        cfg = SolverConfig(max_iters=args.max_iters)
-    return cfg
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
@@ -103,7 +96,7 @@ def cmd_train(args) -> int:
     ds = _load_labeled(args, need_labels=False)
     x = _training_matrix(ds, args)
     normalize = not args.no_normalize
-    cfg = _solver_config(args)
+    cfg = SolverConfig() if args.max_iters is None else SolverConfig(max_iters=args.max_iters)
     if args.variant == "kods":
         kernel = KernelSpec(family=args.kernel, sigma=args.sigma,
                             degree=args.degree, offset=args.offset)
@@ -157,14 +150,22 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _eval_report_doc(model, ds: Dataset, target: str) -> dict:
+def _anomaly_scores(s1, s2, eta: float) -> np.ndarray:
+    return np.array([anomaly_score(a, b, eta) for a, b in zip(s1, s2)])
+
+
+def cmd_eval(args) -> int:
+    model = load_model(args.model)
+    ds = _load_labeled(args, need_labels=True)
+    if args.target is None:
+        raise errors.SchemaError("eval needs --target naming the in-class label")
     s1, s2 = _score_batch(model, ds.features)
     eta = model.eta_effective
     preds = np.array([classify(a, b, eta) for a, b in zip(s1, s2)], dtype=bool)
-    scores = np.array([anomaly_score(a, b, eta) for a, b in zip(s1, s2)])
-    truth = ds.labels == target
+    scores = _anomaly_scores(s1, s2, eta)
+    truth = ds.labels == args.target
     if not truth.any():
-        raise errors.DataError(f"target label {target!r} not present in the data")
+        raise errors.DataError(f"target label {args.target!r} not present in the data")
     report = compute_metrics(preds, truth, scores=scores, threshold=eta)
     doc = {
         "n": int(ds.n),
@@ -183,15 +184,6 @@ def _eval_report_doc(model, ds: Dataset, target: str) -> dict:
             "tn": report.confusion.tn, "fn": report.confusion.fn,
         },
     }
-    return doc
-
-
-def cmd_eval(args) -> int:
-    model = load_model(args.model)
-    ds = _load_labeled(args, need_labels=True)
-    if args.target is None:
-        raise errors.SchemaError("eval needs --target naming the in-class label")
-    doc = _eval_report_doc(model, ds, args.target)
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -199,12 +191,7 @@ def cmd_eval(args) -> int:
     else:
         sys.stdout.write(text)
     if args.roc:
-        from .inference import roc_points
-
-        s1, s2 = _score_batch(model, ds.features)
-        eta = model.eta_effective
-        scores = np.array([anomaly_score(a, b, eta) for a, b in zip(s1, s2)])
-        fpr, tpr = roc_points(ds.labels == args.target, scores)
+        fpr, tpr = roc_points(truth, scores)
         roc_text = "fpr,tpr\n" + "\n".join(
             f"{float(f)!r},{float(t)!r}" for f, t in zip(fpr, tpr)
         ) + "\n"
@@ -312,15 +299,20 @@ def _best_f1(s1: np.ndarray, s2: np.ndarray, eta: float, truth: np.ndarray) -> f
     scores at eta itself rejects most in-class points for any finite nu.
     The benchmark therefore reports each split's best operating point on
     the scalar score, the threshold-free summary the table targets.
+
+    Each distinct score is a cut predicting in-class for score <= cut; one
+    pass over the sorted scores gives every cut's compute_metrics F1.
     """
-    scores = np.array([anomaly_score(a, b, eta) for a, b in zip(s1, s2)])
-    best = 0.0
-    for cut in np.unique(scores):
-        preds = scores <= cut
-        f1 = compute_metrics(preds, truth).f1
-        if f1 is not None and f1 > best:
-            best = f1
-    return best
+    scores = _anomaly_scores(s1, s2, eta)
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    t = np.asarray(truth, dtype=bool)[order]
+    last = np.flatnonzero(np.r_[s[1:] != s[:-1], s.size > 0])  # end of each tie run
+    tp = np.cumsum(t)[last]
+    fp = np.cumsum(~t)[last]
+    fn = int(t.sum()) - tp
+    # Every cut predicts at least one row in-class, so 2tp + fp >= 1.
+    return float((2 * tp / (2 * tp + fp + fn)).max(initial=0.0))
 
 
 def _bench_one(ds: Dataset, target: str, seeds: int, kernel: KernelSpec):
@@ -361,11 +353,15 @@ def cmd_bench_uci(args) -> int:
     for cfg_path in configs:
         try:
             doc = json.loads(cfg_path.read_text())
+            if not isinstance(doc, dict):
+                raise TypeError(f"top level must be an object, got {type(doc).__name__}")
             name = doc.get("name", cfg_path.stem)
             csv_path = Path(doc["csv"])
             label_key = doc["label_column"]
             target_key = doc["target"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            kernel = _kernel_from_config(doc)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # ValueError covers bad JSON, bad numbers and bad kernel parameters.
             raise errors.SchemaError(f"bad dataset config {cfg_path}: {exc}") from None
         if not csv_path.is_absolute():
             csv_path = cfg_path.parent / csv_path
@@ -379,7 +375,6 @@ def cmd_bench_uci(args) -> int:
             has_header=doc.get("has_header", False),
         )
         target = str(target_key)
-        kernel = _kernel_from_config(doc)
         gods_f1, kods_f1 = _bench_one(ds, target, args.seeds, kernel)
         rows.append((name, gods_f1, kods_f1))
         print(

@@ -188,6 +188,16 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _training_rows(x) -> np.ndarray:
+    """A model's training matrix as float64, checked nonempty 2-D and finite."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise DataError(f"training data must be a nonempty 2-D array, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DataError("training data contains non-finite values")
+    return x
+
+
 def one_class_split(
     dataset: Dataset, target: str, ratio: float = 0.7, seed: int = 0
 ) -> tuple[Dataset, Dataset]:

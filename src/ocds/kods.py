@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import l2_normalize
-from .errors import DataError, DimensionError, DomainError
+from .data import _training_rows, l2_normalize
+from .errors import DimensionError, DomainError
 from .kernels import KernelSpec, ensure_pd, gram
 from .manifolds import GeneralizedStiefel, Product
 from .solver import Objective, SolveReport, SolverConfig, minimize
@@ -157,11 +157,7 @@ def kods_train(
     seed: int = 0,
 ) -> tuple[KodsModel, SolveReport]:
     """Fit the kernelized model on one-class training data."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise DataError(f"training data must be a nonempty 2-D array, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DataError("training data contains non-finite values")
+    x = _training_rows(x)
     n = x.shape[0]
     if n < hyper.k:
         raise DimensionError(f"k={hyper.k} exceeds the number of training rows {n}")
@@ -199,32 +195,20 @@ def kods_train(
     return model, report
 
 
-def _support_kernel(model: KodsModel, x: np.ndarray) -> np.ndarray:
-    return gram(model.kernel, model.support, x)
-
-
 def kods_scores(model: KodsModel, x: np.ndarray) -> tuple[float, float]:
-    """(s1, s2) for one feature vector, via kernel evaluations against the
-    support set."""
+    """(s1, s2) for one feature vector."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.support.shape[1]:
         raise DimensionError(
             f"expected a vector of length {model.support.shape[1]}, got shape {x.shape}"
         )
-    if model.normalization:
-        norm = float(np.linalg.norm(x))
-        if norm > 0.0:
-            x = x / norm
-    kx = _support_kernel(model, x[None, :])[:, 0]
-    z2 = model.duals.z * model.duals.z
-    y2 = model.duals.y * model.duals.y
-    s1 = float((z2 @ kx + model.b1).min())
-    s2 = float((-(y2 @ kx) + model.b2).max())
-    return s1, s2
+    s1, s2 = kods_scores_batch(model, x[None, :])
+    return float(s1[0]), float(s2[0])
 
 
 def kods_scores_batch(model: KodsModel, x: np.ndarray):
-    """Vectorized (s1, s2) arrays over the rows of x."""
+    """Vectorized (s1, s2) arrays over the rows of x, via kernel
+    evaluations against the support set."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.support.shape[1]:
         raise DimensionError(
@@ -232,7 +216,7 @@ def kods_scores_batch(model: KodsModel, x: np.ndarray):
         )
     if model.normalization:
         x = l2_normalize(x)
-    kxt = _support_kernel(model, x)  # (n_support, m)
+    kxt = gram(model.kernel, model.support, x)  # (n_support, m)
     z2 = model.duals.z * model.duals.z
     y2 = model.duals.y * model.duals.y
     s1 = (z2 @ kxt + model.b1[:, None]).min(axis=0)
@@ -246,7 +230,5 @@ def kods_feasibility(model: KodsModel) -> float:
     g = gram(model.kernel, model.support)
     if model.jitter:
         g = g + model.jitter * np.eye(g.shape[0])
-    eye = np.eye(model.duals.y.shape[0])
-    res_y = float(np.linalg.norm(model.duals.y @ g @ model.duals.y.T - eye))
-    res_z = float(np.linalg.norm(model.duals.z @ g @ model.duals.z.T - eye))
-    return max(res_y, res_z)
+    manifold, _ = build_kods_problem(g, model.hyper)
+    return manifold.feasibility((model.duals.y, model.duals.z))

@@ -36,7 +36,6 @@ __all__ = [
     "tree_dot",
     "tree_norm",
     "tree_scale",
-    "tree_add",
     "tree_axpy",
     "tree_copy",
     "tree_all_finite",
@@ -74,10 +73,6 @@ def tree_norm(a) -> float:
 
 def tree_scale(a, s: float):
     return tree_map(lambda x: s * x, a)
-
-
-def tree_add(a, b):
-    return tree_map(lambda x, y: x + y, a, b)
 
 
 def tree_axpy(a, s: float, b):
@@ -469,9 +464,7 @@ class GeneralizedStiefel(Manifold):
         self.gram = gram
         try:
             self._cho = scipy.linalg.cho_factor(gram, lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises below
-            raise PositiveDefiniteError("gram matrix is not positive definite") from exc
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise PositiveDefiniteError("gram matrix is not positive definite") from exc
         self.name = f"GeneralizedStiefel({n},{k})"
 

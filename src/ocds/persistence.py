@@ -147,9 +147,21 @@ def load_model(path):
 
 
 def _need(doc: dict, key: str):
+    if not isinstance(doc, dict):
+        raise SchemaError(
+            f"model file: expected an object with field {key!r}, got {type(doc).__name__}"
+        )
     if key not in doc:
         raise SchemaError(f"model file: missing field {key!r}")
     return doc[key]
+
+
+def _scalar(doc: dict, key: str, cast):
+    value = _need(doc, key)
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"model file: bad field {key!r}: {exc}") from None
 
 
 def _load_primal(doc: dict) -> TrainedPrimalModel:
@@ -178,8 +190,8 @@ def _load_primal(doc: dict) -> TrainedPrimalModel:
     return TrainedPrimalModel(
         frames=frames,
         hyper=hyper,
-        eta_effective=float(_need(doc, "eta_effective")),
-        feature_dim=int(_need(doc, "feature_dim")),
+        eta_effective=_scalar(doc, "eta_effective", float),
+        feature_dim=_scalar(doc, "feature_dim", int),
         normalization=bool(_need(doc, "normalization")),
     )
 
@@ -213,8 +225,8 @@ def _load_kods(doc: dict) -> KodsModel:
         support=_decode_array(_need(doc, "support"), "support"),
         b1=_decode_array(_need(doc, "b1"), "b1"),
         b2=_decode_array(_need(doc, "b2"), "b2"),
-        eta_effective=float(_need(doc, "eta_effective")),
-        jitter=float(_need(doc, "jitter")),
+        eta_effective=_scalar(doc, "eta_effective", float),
+        jitter=_scalar(doc, "jitter", float),
         normalization=bool(_need(doc, "normalization")),
         hyper=hyper,
     )

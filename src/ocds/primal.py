@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import l2_normalize
+from .data import _training_rows, l2_normalize
 from .errors import DataError, DimensionError, DomainError
 from .manifolds import (
     Euclidean,
@@ -335,10 +335,8 @@ class PrimalProblem:
     unpack: Callable[[tuple], FramePair]
 
 
-def build_primal_problem(x: np.ndarray, hyper: GodsHyper) -> PrimalProblem:
-    """Manifold, packed-point codec, and objective closures for a variant."""
-    x = np.asarray(x, dtype=np.float64)
-    d = x.shape[1]
+def _primal_geometry(d: int, hyper: GodsHyper):
+    """(manifold, pack, unpack) of the variant's frames in dimension d."""
     k = hyper.k
     variant = hyper.variant
 
@@ -380,6 +378,14 @@ def build_primal_problem(x: np.ndarray, hyper: GodsHyper) -> PrimalProblem:
         def unpack(pt) -> FramePair:
             return FramePair(w1=pt[0], b1=pt[1], w2=pt[2], b2=pt[3])
 
+    return manifold, pack, unpack
+
+
+def build_primal_problem(x: np.ndarray, hyper: GodsHyper) -> PrimalProblem:
+    """Manifold, packed-point codec, and objective closures for a variant."""
+    x = np.asarray(x, dtype=np.float64)
+    manifold, pack, unpack = _primal_geometry(x.shape[1], hyper)
+
     def cost(pt) -> float:
         return gods_objective(unpack(pt), x, hyper)
 
@@ -400,12 +406,7 @@ def train_primal(
     seed: int = 0,
 ) -> tuple[TrainedPrimalModel, SolveReport]:
     """Fit the requested variant on one-class training data."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise DataError(f"training data must be a nonempty 2-D array, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DataError("training data contains non-finite values")
-    d = x.shape[1]
+    x = _training_rows(x)
     xn = l2_normalize(x) if hyper.normalize else x
 
     frames0 = init_frames(xn, hyper.k, seed=seed)
@@ -418,40 +419,27 @@ def train_primal(
         frames=problem.unpack(point),
         hyper=hyper,
         eta_effective=hyper.eta,
-        feature_dim=d,
+        feature_dim=x.shape[1],
         normalization=hyper.normalize,
     )
     return model, report
 
 
-def _effective_frames(model: TrainedPrimalModel):
-    fr = model.frames
-    w1 = fr.w1 * fr.r1 if fr.r1 is not None else fr.w1
-    w2 = fr.w2 * fr.r2 if fr.r2 is not None else fr.w2
-    return w1, w2
-
-
 def primal_scores(model: TrainedPrimalModel, x: np.ndarray) -> tuple[float, float]:
     """(s1, s2) for one feature vector: the smallest lower-frame response
-    and the largest upper-frame response. Applies the model's stored
-    normalization; gods_n applies its diag(r) scaling first."""
+    and the largest upper-frame response."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.feature_dim:
         raise DimensionError(
             f"expected a vector of length {model.feature_dim}, got shape {x.shape}"
         )
-    if model.normalization:
-        norm = float(np.linalg.norm(x))
-        if norm > 0.0:
-            x = x / norm
-    w1, w2 = _effective_frames(model)
-    s1 = float((x @ w1 + model.frames.b1).min())
-    s2 = float((x @ w2 + model.frames.b2).max())
-    return s1, s2
+    s1, s2 = primal_scores_batch(model, x[None, :])
+    return float(s1[0]), float(s2[0])
 
 
 def primal_scores_batch(model: TrainedPrimalModel, x: np.ndarray):
-    """Vectorized (s1, s2) arrays over the rows of x."""
+    """Vectorized (s1, s2) arrays over the rows of x. Applies the model's
+    stored normalization; gods_n applies its diag(r) scaling first."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.feature_dim:
         raise DimensionError(
@@ -459,38 +447,11 @@ def primal_scores_batch(model: TrainedPrimalModel, x: np.ndarray):
         )
     if model.normalization:
         x = l2_normalize(x)
-    w1, w2 = _effective_frames(model)
-    s1 = (x @ w1 + model.frames.b1).min(axis=1)
-    s2 = (x @ w2 + model.frames.b2).max(axis=1)
-    return s1, s2
+    p1, p2 = _responses(model.frames, x)
+    return p1.min(axis=1), p2.max(axis=1)
 
 
 def frame_feasibility(model: TrainedPrimalModel) -> float:
-    """Constraint residual of the trained frames for the variant's manifold."""
-    fr = model.frames
-    v = model.hyper.variant
-    if v == "bods":
-        return max(
-            abs(float(np.linalg.norm(fr.w1[:, 0])) - 1.0),
-            abs(float(np.linalg.norm(fr.w2[:, 0])) - 1.0),
-        )
-    if v == "gods":
-        eye = np.eye(fr.w1.shape[1])
-        return max(
-            float(np.linalg.norm(fr.w1.T @ fr.w1 - eye)),
-            float(np.linalg.norm(fr.w2.T @ fr.w2 - eye)),
-        )
-    if v == "gods_n":
-        eye = np.eye(fr.w1.shape[1])
-        orth = max(
-            float(np.linalg.norm(fr.w1.T @ fr.w1 - eye)),
-            float(np.linalg.norm(fr.w2.T @ fr.w2 - eye)),
-        )
-        positive = bool(np.all(fr.r1 > 0.0) and np.all(fr.r2 > 0.0))
-        return orth if positive else float("inf")
-    if v == "gods_o":
-        return max(
-            float(np.linalg.norm((fr.w1 * fr.w1).sum(axis=0) - 1.0)),
-            float(np.linalg.norm((fr.w2 * fr.w2).sum(axis=0) - 1.0)),
-        )
-    return 0.0  # gods_e is unconstrained
+    """Constraint residual of the trained frames on the variant's manifold."""
+    manifold, pack, _ = _primal_geometry(model.frames.w1.shape[0], model.hyper)
+    return manifold.feasibility(pack(model.frames))

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ocds.cli import main
+from ocds.cli import _best_f1, main
 from ocds.data import load_csv, synth
+from ocds.inference import anomaly_score, compute_metrics
 from ocds.persistence import load_model, save_model
 from ocds.primal import FramePair, GodsHyper, TrainedPrimalModel, primal_scores_batch
 
@@ -127,6 +128,17 @@ def test_predict_dimension_mismatch_exits_1(workdir, tmp_path):
     csv.write_text("1.0,2.0,3.0,4.0\n")
     rc = main(["predict", "--model", str(workdir / "gods.json"), "--data", str(csv)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("field, value", [("frames", 5), ("feature_dim", "abc")])
+def test_predict_malformed_model_exits_1(workdir, tmp_path, capsys, field, value):
+    doc = json.loads((workdir / "gods.json").read_text())
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["predict", "--model", str(bad), "--data", str(workdir / "gauss.csv")])
+    assert rc == 1
+    assert "input error: model file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +303,43 @@ def test_gradcheck_corrupted_gradient_exits_2(capsys):
 
 
 # ---------------------------------------------------------------------------
+# best-F1 sweep
+
+
+def _best_f1_by_cut(s1, s2, eta, truth):
+    # compute_metrics at every distinct anomaly score, one cut at a time.
+    scores = np.array([anomaly_score(a, b, eta) for a, b in zip(s1, s2)])
+    best = 0.0
+    for cut in np.unique(scores):
+        f1 = compute_metrics(scores <= cut, truth).f1
+        if f1 is not None and f1 > best:
+            best = f1
+    return best
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_best_f1_matches_the_per_cut_sweep(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    s1 = np.round(rng.normal(0.3, 0.2, n), 1)   # coarse rounding makes ties
+    s2 = np.round(rng.normal(-0.3, 0.2, n), 1)
+    truth = rng.random(n) < rng.random()
+    assert _best_f1(s1, s2, 0.3, truth) == _best_f1_by_cut(s1, s2, 0.3, truth)
+
+
+_SPREAD = (np.array([0.4, 0.1, 0.4, -0.2]), np.array([-0.5, -0.4, -0.5, 0.0]))
+
+
+@pytest.mark.parametrize("s1, s2, truth, want", [
+    (np.full(6, 0.5), np.full(6, -0.5), np.array([1, 0, 1, 1, 0, 0], bool), 6 / 9),
+    (*_SPREAD, np.ones(4, bool), 1.0),
+    (*_SPREAD, np.zeros(4, bool), 0.0),
+], ids=["all-tied", "all-in-class", "no-in-class"])
+def test_best_f1_edge_cases(s1, s2, truth, want):
+    assert _best_f1(s1, s2, 0.3, truth) == _best_f1_by_cut(s1, s2, 0.3, truth) == want
+
+
+# ---------------------------------------------------------------------------
 # bench-uci
 
 
@@ -315,6 +364,20 @@ def test_bench_skips_datasets_without_csv(tmp_path, capsys):
 def test_bench_bad_config_exits_1(tmp_path):
     (tmp_path / "bad.json").write_text("{\"name\": \"x\"}")
     assert main(["bench-uci", "--config-dir", str(tmp_path)]) == 1
+
+
+def test_bench_non_object_config_exits_1(tmp_path, capsys):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert main(["bench-uci", "--config-dir", str(tmp_path)]) == 1
+    assert "top level must be an object" in capsys.readouterr().err
+
+
+def test_bench_non_numeric_kernel_parameter_exits_1(tmp_path, capsys):
+    cfg = {"name": "x", "csv": "x.csv", "label_column": 0, "target": "a",
+           "kernel": {"sigma": "abc"}}
+    (tmp_path / "x.json").write_text(json.dumps(cfg))
+    assert main(["bench-uci", "--config-dir", str(tmp_path)]) == 1
+    assert "bad dataset config" in capsys.readouterr().err
 
 
 def test_bench_toy_dataset_end_to_end(tmp_path, capsys):

@@ -223,6 +223,26 @@ def test_bad_hyper_block_raises(gods_model, tmp_path):
         load_model(p)
 
 
+@pytest.mark.parametrize("model, field, value", [
+    ("gods_model", "frames", 5),
+    ("gods_model", "hyper", 5),
+    ("gods_model", "feature_dim", "abc"),
+    ("gods_model", "eta_effective", "abc"),
+    ("kods_model", "duals", 5),
+    ("kods_model", "kernel", 5),
+    ("kods_model", "jitter", "abc"),
+    ("kods_model", "eta_effective", [1.0]),
+])
+def test_malformed_field_raises(request, tmp_path, model, field, value):
+    p = tmp_path / "malformed.json"
+    save_model(request.getfixturevalue(model), p)
+    doc = json.loads(p.read_text())
+    doc[field] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        load_model(p)
+
+
 def test_unserializable_object_raises():
     with pytest.raises(SchemaError, match="cannot serialize"):
         save_model({"not": "a model"}, "/tmp/never.json")
