@@ -36,6 +36,21 @@ _INPUT_ERRORS = errors.INPUT_ERRORS + (FileNotFoundError, IsADirectoryError, Per
 _NUMERIC_ERRORS = errors.NUMERIC_ERRORS + (np.linalg.LinAlgError,)
 
 
+def _int_at_least(low: int):
+    """argparse type for integers >= low; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", default="gods", choices=list(VARIANTS) + ["kods"],
                    help="model variant (default: gods)")
@@ -52,10 +67,10 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
                    help="penalty weight (default: 1.0)")
     p.add_argument("--p-norm", dest="p_norm", type=float, default=1.0,
                    help="scale-penalty norm order for gods_n (default: 1)")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default: 0)")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="PRNG seed (default: 0)")
     p.add_argument("--no-normalize", action="store_true",
                    help="skip l2 normalization of feature rows")
-    p.add_argument("--max-iters", type=int, default=None,
+    p.add_argument("--max-iters", type=_int_at_least(0), default=None,
                    help="solver iteration cap (default: 500)")
 
 
@@ -136,11 +151,11 @@ def cmd_predict(args) -> int:
     ds = _load_labeled(args, need_labels=False)
     s1, s2 = _score_batch(model, ds.features)
     eta = model.eta_effective
+    in_class = classify(s1, s2, eta)
+    scores = anomaly_score(s1, s2, eta)
     lines = ["s1,s2,anomaly_score,label"]
-    for i in range(ds.n):
-        label = "in-class" if classify(s1[i], s2[i], eta) else "anomaly"
-        score = anomaly_score(s1[i], s2[i], eta)
-        lines.append(f"{float(s1[i])!r},{float(s2[i])!r},{float(score)!r},{label}")
+    for a, b, score, ok in zip(s1.tolist(), s2.tolist(), scores.tolist(), in_class.tolist()):
+        lines.append(f"{a!r},{b!r},{score!r},{'in-class' if ok else 'anomaly'}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -150,10 +165,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _anomaly_scores(s1, s2, eta: float) -> np.ndarray:
-    return np.array([anomaly_score(a, b, eta) for a, b in zip(s1, s2)])
-
-
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     ds = _load_labeled(args, need_labels=True)
@@ -161,8 +172,8 @@ def cmd_eval(args) -> int:
         raise errors.SchemaError("eval needs --target naming the in-class label")
     s1, s2 = _score_batch(model, ds.features)
     eta = model.eta_effective
-    preds = np.array([classify(a, b, eta) for a, b in zip(s1, s2)], dtype=bool)
-    scores = _anomaly_scores(s1, s2, eta)
+    preds = classify(s1, s2, eta)
+    scores = anomaly_score(s1, s2, eta)
     truth = ds.labels == args.target
     if not truth.any():
         raise errors.DataError(f"target label {args.target!r} not present in the data")
@@ -303,7 +314,7 @@ def _best_f1(s1: np.ndarray, s2: np.ndarray, eta: float, truth: np.ndarray) -> f
     Each distinct score is a cut predicting in-class for score <= cut; one
     pass over the sorted scores gives every cut's compute_metrics F1.
     """
-    scores = _anomaly_scores(s1, s2, eta)
+    scores = anomaly_score(s1, s2, eta)
     order = np.argsort(scores, kind="stable")
     s = scores[order]
     t = np.asarray(truth, dtype=bool)[order]
@@ -447,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p_synth.add_argument("--kind", required=True, choices=list(SYNTH_KINDS))
     p_synth.add_argument("--n", type=int, required=True)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_int_at_least(0), default=0)
     p_synth.add_argument("--d", type=int, default=2, help="gaussian dimension")
     p_synth.add_argument("--mean", type=float, default=0.0, help="gaussian mean")
     p_synth.add_argument("--cov", type=float, default=1.0, help="gaussian variance")
@@ -458,14 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of every objective")
-    p_gc.add_argument("--seed", type=int, default=0)
+    p_gc.add_argument("--seed", type=_int_at_least(0), default=0)
     p_gc.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
     p_gc.set_defaults(func=cmd_gradcheck)
 
     p_bench = sub.add_parser("bench-uci", help="one-class benchmark over configured datasets")
     p_bench.add_argument("--config-dir", required=True,
                          help="directory of per-dataset JSON configs")
-    p_bench.add_argument("--seeds", type=int, default=5)
+    p_bench.add_argument("--seeds", type=_int_at_least(1), default=5)
     p_bench.add_argument("--out", default=None, help="write the markdown table here")
     p_bench.set_defaults(func=cmd_bench_uci)
 

@@ -33,7 +33,6 @@ class Dataset:
     features: np.ndarray                      # (n, d) float64, all finite
     labels: np.ndarray | None = None          # (n,) strings, or None
     source: str = ""
-    normalized: bool = False
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -156,19 +155,16 @@ def load_csv(
     )
 
 
-def write_csv(dataset: Dataset, path, label_last: bool = True) -> None:
-    """Write features (and labels, if present) as CSV. Floats are written
-    with repr so a load_csv round trip is bit-exact."""
+def write_csv(dataset: Dataset, path) -> None:
+    """Write features (and labels, if present, as the last column) as CSV.
+    Floats are written with repr so a load_csv round trip is bit-exact."""
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for i in range(dataset.n):
             row = [repr(float(v)) for v in dataset.features[i]]
             if dataset.labels is not None:
-                if label_last:
-                    row.append(str(dataset.labels[i]))
-                else:
-                    row.insert(0, str(dataset.labels[i]))
+                row.append(str(dataset.labels[i]))
             writer.writerow(row)
 
 
@@ -184,7 +180,7 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
     out[nz] = out[nz] / norms[nz, None]
     zeros = int((~nz).sum())
     if zeros:
-        warnings.warn(f"l2_normalize: {zeros} zero row(s) left unnormalized", stacklevel=2)
+        warnings.warn(f"l2_normalize: {zeros} zero row(s) left unscaled", stacklevel=2)
     return out
 
 
@@ -228,13 +224,11 @@ def one_class_split(
         features=dataset.features[train_idx],
         labels=labels[train_idx],
         source=f"{dataset.source}[train]",
-        normalized=dataset.normalized,
     )
     test = Dataset(
         features=dataset.features[test_idx],
         labels=labels[test_idx],
         source=f"{dataset.source}[test]",
-        normalized=dataset.normalized,
     )
     return train, test
 
@@ -260,6 +254,8 @@ def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
 
     if kind == "gaussian":
         d = int(params.pop("d", 2))
+        if d < 1:
+            raise DataError(f"gaussian synth needs d >= 1, got {d}")
         mean = params.pop("mean", 0.0)
         cov = params.pop("cov", 1.0)
         _reject_extras(kind, params)

@@ -54,14 +54,16 @@ class EvalReport:
     threshold: float | None = None
 
 
-def classify(s1: float, s2: float, eta: float) -> bool:
-    """True when the score pair satisfies both margins at threshold eta."""
-    return bool(s1 >= eta and s2 <= -eta)
+def classify(s1, s2, eta: float):
+    """True where the score pair satisfies both margins at threshold eta.
+    s1 and s2 are scalars or matching arrays."""
+    return np.logical_and(s1 >= eta, s2 <= -eta)
 
 
-def anomaly_score(s1: float, s2: float, eta: float) -> float:
-    """Worst margin violation; <= 0 exactly for in-class points."""
-    return float(max(eta - s1, s2 + eta))
+def anomaly_score(s1, s2, eta: float):
+    """Worst margin violation, elementwise; <= 0 exactly for in-class
+    points. s1 and s2 are scalars or matching arrays."""
+    return np.maximum(eta - s1, s2 + eta)
 
 
 def two_means(values) -> tuple[float, float]:

@@ -6,6 +6,7 @@ kernel_eval(spec, X[i], Y[j]) agree bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,14 @@ class KernelSpec:
         if fam not in FAMILIES:
             raise DomainError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
         object.__setattr__(self, "family", fam)
-        if fam == "rbf" and not self.sigma > 0.0:
-            raise DomainError(f"rbf kernel needs sigma > 0, got {self.sigma}")
+        if fam == "rbf" and not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise DomainError(f"rbf kernel needs a finite sigma > 0, got {self.sigma}")
         if fam == "polynomial":
-            if int(self.degree) != self.degree or self.degree < 1:
+            deg = self.degree
+            if not (math.isfinite(deg) and deg >= 1 and int(deg) == deg):
                 raise DomainError(f"polynomial degree must be an integer >= 1, got {self.degree}")
-            if self.offset < 0.0:
-                raise DomainError(f"polynomial offset must be >= 0, got {self.offset}")
+            if not (math.isfinite(self.offset) and self.offset >= 0.0):
+                raise DomainError(f"polynomial offset must be finite and >= 0, got {self.offset}")
 
 
 def _rows(spec: KernelSpec, x: np.ndarray, block: np.ndarray) -> np.ndarray:

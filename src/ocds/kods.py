@@ -15,6 +15,7 @@ evaluations against the support set.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .data import _training_rows, l2_normalize
 from .errors import DimensionError, DomainError
 from .kernels import KernelSpec, ensure_pd, gram
-from .manifolds import GeneralizedStiefel, Product
+from .manifolds import GeneralizedStiefel, Product, _gram_residual
 from .solver import Objective, SolveReport, SolverConfig, minimize
 
 __all__ = [
@@ -50,10 +51,10 @@ class KodsHyper:
     def __post_init__(self):
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.eta <= 0.0:
-            raise DomainError(f"eta must be positive, got {self.eta}")
-        if self.lam < 0.0:
-            raise DomainError(f"lam must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise DomainError(f"eta must be positive and finite, got {self.eta}")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise DomainError(f"lam must be finite and >= 0, got {self.lam}")
 
 
 @dataclass
@@ -230,5 +231,4 @@ def kods_feasibility(model: KodsModel) -> float:
     g = gram(model.kernel, model.support)
     if model.jitter:
         g = g + model.jitter * np.eye(g.shape[0])
-    manifold, _ = build_kods_problem(g, model.hyper)
-    return manifold.feasibility((model.duals.y, model.duals.z))
+    return max(_gram_residual(model.duals.y, g), _gram_residual(model.duals.z, g))

@@ -120,6 +120,12 @@ def _qr_positive(v: np.ndarray) -> np.ndarray:
     return q * signs
 
 
+def _gram_residual(u: np.ndarray, gram: np.ndarray) -> float:
+    """||U gram U^T - I||_F: how far U is from the generalized Stiefel
+    manifold of gram. Needs no factorization of gram."""
+    return float(np.linalg.norm(u @ gram @ u.T - np.eye(u.shape[0])))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -136,7 +142,9 @@ class Manifold:
         raise NotImplementedError
 
     def egrad_to_rgrad(self, point, egrad):
-        raise NotImplementedError
+        # The Riemannian gradient of the embedded metric is the tangent
+        # projection of the ambient one.
+        return self.project_tangent(point, egrad)
 
     def retract(self, point, tangent):
         raise NotImplementedError
@@ -176,8 +184,6 @@ class Euclidean(Manifold):
     """Unconstrained arrays of a fixed shape."""
 
     def __init__(self, *shape: int):
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
         self.shape = tuple(int(s) for s in shape)
         if any(s < 1 for s in self.shape):
             raise DimensionError(f"Euclidean shape must be positive, got {self.shape}")
@@ -189,9 +195,6 @@ class Euclidean(Manifold):
 
     def project_tangent(self, point, ambient):
         return self._expect(ambient, self.shape, "ambient vector")
-
-    def egrad_to_rgrad(self, point, egrad):
-        return self._expect(egrad, self.shape, "gradient")
 
     def retract(self, point, tangent):
         if _is_zero(tangent):
@@ -224,9 +227,6 @@ class Sphere(Manifold):
     def project_tangent(self, point, ambient):
         a = self._expect(ambient, (self.d,), "ambient vector")
         return a - float(point @ a) * point
-
-    def egrad_to_rgrad(self, point, egrad):
-        return self.project_tangent(point, egrad)
 
     def retract(self, point, tangent):
         if _is_zero(tangent):
@@ -301,9 +301,6 @@ class Oblique(Manifold):
         a = self._expect(ambient, (self.d, self.k), "ambient matrix")
         return a - point * (point * a).sum(axis=0)
 
-    def egrad_to_rgrad(self, point, egrad):
-        return self.project_tangent(point, egrad)
-
     def retract(self, point, tangent):
         if _is_zero(tangent):
             return point
@@ -342,9 +339,6 @@ class PositiveVector(Manifold):
     def project_tangent(self, point, ambient):
         return self._expect(ambient, (self.k,), "ambient vector")
 
-    def egrad_to_rgrad(self, point, egrad):
-        return self._expect(egrad, (self.k,), "gradient")
-
     def retract(self, point, tangent):
         if _is_zero(tangent):
             return point
@@ -369,8 +363,6 @@ class Product(Manifold):
     """Cartesian product; points are tuples of factor points."""
 
     def __init__(self, *factors: Manifold):
-        if len(factors) == 1 and isinstance(factors[0], (list, tuple)):
-            factors = tuple(factors[0])
         if not factors:
             raise DimensionError("Product needs at least one factor")
         self.factors = tuple(factors)
@@ -404,12 +396,6 @@ class Product(Manifold):
         self._check(point, "point")
         self._check(tangent, "tangent")
         return tuple(f.retract(p, t) for f, p, t in zip(self.factors, point, tangent))
-
-    def transport(self, start, end, tangent):
-        return tuple(
-            f.transport(s, e, t)
-            for f, s, e, t in zip(self.factors, start, end, tangent)
-        )
 
     def random_point(self, seed):
         rng = _as_rng(seed)
@@ -508,9 +494,7 @@ class GeneralizedStiefel(Manifold):
         return self.polar(_as_rng(seed).standard_normal((self.k, self.n)))
 
     def feasibility(self, point) -> float:
-        return float(
-            np.linalg.norm(point @ self.gram @ point.T - np.eye(self.k))
-        )
+        return _gram_residual(point, self.gram)
 
     def tangency(self, point, tangent) -> float:
         m = point @ self.gram @ tangent.T

@@ -20,6 +20,7 @@ the extreme responses past the margins; see the objective functions.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -80,14 +81,14 @@ class GodsHyper:
             raise DomainError(f"bods uses a single hyperplane pair; k must be 1, got {self.k}")
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.eta <= 0.0:
-            raise DomainError(f"eta must be positive, got {self.eta}")
-        if self.nu <= 0.0:
-            raise DomainError(f"nu must be positive, got {self.nu}")
-        if self.lam < 0.0:
-            raise DomainError(f"lam must be >= 0, got {self.lam}")
-        if self.p_norm < 1.0:
-            raise DomainError(f"p_norm must be >= 1, got {self.p_norm}")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise DomainError(f"eta must be positive and finite, got {self.eta}")
+        if not (math.isfinite(self.nu) and self.nu > 0.0):
+            raise DomainError(f"nu must be positive and finite, got {self.nu}")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise DomainError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.p_norm) and self.p_norm >= 1.0):
+            raise DomainError(f"p_norm must be finite and >= 1, got {self.p_norm}")
 
 
 @dataclass

@@ -4,17 +4,20 @@ The solver works on any manifold from :mod:`ocds.manifolds`. Search
 directions live in the tangent space at the current iterate; the previous
 direction and gradient are carried to the new iterate by projection
 transport. Step acceptance uses the Armijo sufficient-decrease test, so
-the objective trace is non-increasing by construction.
+the objective trace is non-increasing by construction. Directions follow
+the nonnegative Polak-Ribiere (PR+) rule, restarted every ambient dimension.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateStepError, NumericError
+from .errors import DegenerateStepError, DomainError, NumericError
 from .manifolds import (
     Manifold,
     tree_all_finite,
@@ -27,9 +30,11 @@ from .manifolds import (
 
 __all__ = ["Objective", "SolverConfig", "SolveReport", "minimize", "fd_gradient_check"]
 
+_ARMIJO_C = 1e-4
 # A line search that halves 60 times from step 1.0 reaches ~8.7e-19; below
 # that no float64 objective can register a decrease, so we report a stall.
 _MAX_HALVINGS = 60
+_FD_STEP = 1e-6
 
 
 @dataclass
@@ -44,29 +49,12 @@ class Objective:
 class SolverConfig:
     max_iters: int = 500
     grad_tol: float = 1e-6
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
-    beta_rule: str = "pr+"  # "pr+" (nonnegative Polak-Ribiere) or "fr"
-    restart_period: int | None = None  # default: ambient dimension of the manifold
 
     def __post_init__(self):
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ValueError(f"armijo_c must be in (0, 1), got {self.armijo_c}")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError(
-                f"backtrack_factor must be in (0, 1), got {self.backtrack_factor}"
-            )
-        if self.initial_step <= 0.0:
-            raise ValueError(f"initial_step must be positive, got {self.initial_step}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        rule = self.beta_rule.lower()
-        if rule not in ("pr+", "fr"):
-            raise ValueError(f"beta_rule must be 'pr+' or 'fr', got {self.beta_rule!r}")
-        self.beta_rule = rule
-        if self.restart_period is not None and self.restart_period < 1:
-            raise ValueError("restart_period must be >= 1 when given")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 0):
+            raise DomainError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0.0):
+            raise DomainError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
 
 
 @dataclass
@@ -78,24 +66,43 @@ class SolveReport:
     wall_time: float = 0.0
 
 
-def _line_search(obj, manifold, point, direction, f0, slope, cfg):
+def _line_search(obj, manifold, point, direction, f0, slope):
     """Backtracking Armijo search along a tangent direction.
 
     Returns (new_point, new_cost) or None when 60 halvings fail to find
     sufficient decrease. Degenerate retractions and non-finite trial costs
     count as rejections, not errors.
     """
-    step = cfg.initial_step
+    step = 1.0
     for _ in range(_MAX_HALVINGS):
         try:
             candidate = manifold.retract(point, tree_scale(direction, step))
         except DegenerateStepError:
-            step *= cfg.backtrack_factor
+            step *= 0.5
             continue
         fc = float(obj.cost(candidate))
-        if np.isfinite(fc) and fc <= f0 + cfg.armijo_c * step * slope:
+        if np.isfinite(fc) and fc <= f0 + _ARMIJO_C * step * slope:
             return candidate, fc
-        step *= cfg.backtrack_factor
+        step *= 0.5
+    return None
+
+
+def _descend(obj, manifold, point, f, egrad, grad, direction):
+    """One Armijo step along the conjugate direction, if there is one (not
+    None) and it succeeds, else along -grad. Returns (new point, new cost,
+    direction taken), or None when neither gives a descent step.
+
+    The slope of cost(retract(point, s*d)) at s = 0 is tree_dot(egrad, d):
+    the retraction curve leaves with velocity d, so the chain rule pairs the
+    ambient gradient with the direction. Only descent directions are tried.
+    """
+    for d in ([direction] if direction is not None else []) + [None]:
+        d = tree_scale(grad, -1.0) if d is None else d
+        slope = tree_dot(egrad, d)
+        if slope < 0.0:
+            hit = _line_search(obj, manifold, point, d, f, slope)
+            if hit is not None:
+                return hit + (d,)
     return None
 
 
@@ -109,7 +116,7 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
     """
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
-    restart_every = cfg.restart_period or manifold.ambient_dimension
+    restart_every = manifold.ambient_dimension
 
     point = init
     f = float(obj.cost(point))
@@ -125,38 +132,15 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
     gtrace = [gnorm]
     iterations = 0
     converged = gnorm <= cfg.grad_tol
-
-    direction = tree_scale(grad, -1.0)
-    steepest = True  # direction currently equals -grad
+    direction = None  # no conjugate direction: the next step is steepest descent
 
     while not converged and iterations < cfg.max_iters:
-        # True slope of cost(retract(point, s*direction)) at s = 0: the
-        # retraction curve leaves with velocity `direction`, so the chain
-        # rule pairs the ambient gradient with the direction. On manifolds
-        # whose gradient is the tangent projection this equals
-        # inner(direction, grad) exactly.
-        slope = tree_dot(egrad, direction)
-        if slope >= 0.0:
-            # Conjugacy went bad; fall back to steepest descent.
-            direction = tree_scale(grad, -1.0)
-            steepest = True
-            slope = tree_dot(egrad, direction)
-            if slope >= 0.0:
-                break  # no descent available at this point
-
-        hit = _line_search(obj, manifold, point, direction, f, slope, cfg)
-        if hit is None and not steepest:
-            direction = tree_scale(grad, -1.0)
-            steepest = True
-            slope = tree_dot(egrad, direction)
-            if slope >= 0.0:
-                break
-            hit = _line_search(obj, manifold, point, direction, f, slope, cfg)
+        hit = _descend(obj, manifold, point, f, egrad, grad, direction)
         if hit is None:
             break  # stall: report what we have
 
         prev_point, prev_grad, prev_gnorm = point, grad, gnorm
-        point, f = hit
+        point, f, direction = hit
         iterations += 1
 
         egrad = obj.egrad(point)
@@ -171,37 +155,22 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
             converged = True
             break
 
-        if iterations % restart_every == 0:
-            direction = tree_scale(grad, -1.0)
-            steepest = True
-            continue
-
         denom = prev_gnorm * prev_gnorm
-        if denom <= 0.0:
-            direction = tree_scale(grad, -1.0)
-            steepest = True
+        if iterations % restart_every == 0 or denom <= 0.0:
+            direction = None
             continue
-        if cfg.beta_rule == "fr":
-            beta = (gnorm * gnorm) / denom
-        else:
-            carried_grad = manifold.transport(prev_point, point, prev_grad)
-            diff = tree_axpy(grad, -1.0, carried_grad)
-            beta = max(0.0, manifold.inner(point, grad, diff) / denom)
+        carried_grad = manifold.transport(prev_point, point, prev_grad)
+        diff = tree_axpy(grad, -1.0, carried_grad)
+        beta = max(0.0, manifold.inner(point, grad, diff) / denom)
         carried_dir = manifold.transport(prev_point, point, direction)
         direction = tree_axpy(tree_scale(grad, -1.0), beta, carried_dir)
-        steepest = False
 
-    report = SolveReport(
-        iterations=iterations,
-        objective_trace=trace,
-        grad_norm_trace=gtrace,
-        converged=converged,
-        wall_time=time.perf_counter() - start,
-    )
-    return point, report
+    return point, SolveReport(iterations=iterations, objective_trace=trace,
+                              grad_norm_trace=gtrace, converged=converged,
+                              wall_time=time.perf_counter() - start)
 
 
-def fd_gradient_check(obj: Objective, point, h: float = 1e-6) -> float:
+def fd_gradient_check(obj: Objective, point) -> float:
     """Relative error between the analytic ambient gradient and a central
     finite difference of the cost, over every coordinate of the point.
 
@@ -219,12 +188,12 @@ def fd_gradient_check(obj: Objective, point, h: float = 1e-6) -> float:
         flat_g = g.ravel()
         for j in range(flat_leaf.size):
             orig = flat_leaf[j]
-            flat_leaf[j] = orig + h
+            flat_leaf[j] = orig + _FD_STEP
             f_plus = float(obj.cost(work))
-            flat_leaf[j] = orig - h
+            flat_leaf[j] = orig - _FD_STEP
             f_minus = float(obj.cost(work))
             flat_leaf[j] = orig
-            flat_g[j] = (f_plus - f_minus) / (2.0 * h)
+            flat_g[j] = (f_plus - f_minus) / (2.0 * _FD_STEP)
         fd.append(g)
 
     num = 0.0

@@ -400,6 +400,62 @@ def test_bench_toy_dataset_end_to_end(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# flag validation: bad values are input errors (exit 1), never tracebacks
+
+
+def _gods(workdir, tmp_path, *flags):
+    return ["train", "--data", str(workdir / "gauss.csv"), "--variant", "gods", "--k", "2",
+            "--max-iters", "5", "--out", str(tmp_path / "m.json"), *flags]
+
+
+def _kods(workdir, tmp_path, *flags):
+    return ["train", "--data", str(workdir / "gauss.csv"), "--variant", "kods", "--k", "2",
+            "--max-iters", "5", "--out", str(tmp_path / "m.json"), *flags]
+
+
+def _bench(tmp_path, *flags):
+    # A runnable config, so only the flag can stop the run.
+    x = np.random.default_rng(0).uniform(0.5, 1.5, (40, 3))
+    rows = [",".join(map(repr, r.tolist())) + (",a" if i % 2 else ",b") for i, r in enumerate(x)]
+    (tmp_path / "toy.csv").write_text("\n".join(rows) + "\n")
+    cfg = {"name": "toy", "csv": "toy.csv", "label_column": 3, "target": "a"}
+    (tmp_path / "toy.json").write_text(json.dumps(cfg))
+    return ["bench-uci", "--config-dir", str(tmp_path), *flags]
+
+
+BAD_FLAGS = {
+    "max-iters -1": lambda w, t: _gods(w, t, "--max-iters", "-1"),
+    "gods seed -1": lambda w, t: _gods(w, t, "--seed", "-1"),
+    "kods seed -1": lambda w, t: _kods(w, t, "--seed", "-1"),
+    "seed 1.5": lambda w, t: _gods(w, t, "--seed", "1.5"),
+    "synth seed -1": lambda w, t: ["synth", "--kind", "ring", "--n", "5", "--seed", "-1",
+                                   "--out", str(t / "r.csv")],
+    "gradcheck seed -1": lambda w, t: ["gradcheck", "--seed", "-1"],
+    "bench seeds 0": lambda w, t: _bench(t, "--seeds", "0"),
+    "eta nan": lambda w, t: _gods(w, t, "--eta", "nan"),
+    "eta inf": lambda w, t: _gods(w, t, "--eta", "inf"),
+    "nu nan": lambda w, t: _gods(w, t, "--nu", "nan"),
+    "p-norm nan": lambda w, t: _gods(w, t, "--variant", "gods_n", "--p-norm", "nan"),
+    "lambda nan": lambda w, t: _gods(w, t, "--lambda", "nan"),
+    "kods eta nan": lambda w, t: _kods(w, t, "--eta", "nan"),
+    "offset nan": lambda w, t: _kods(w, t, "--kernel", "polynomial", "--offset", "nan"),
+    "sigma inf": lambda w, t: _kods(w, t, "--sigma", "inf"),
+    "synth d 0": lambda w, t: ["synth", "--kind", "gaussian", "--n", "5", "--d", "0",
+                               "--out", str(t / "g.csv")],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FLAGS))
+def test_bad_flag_values_exit_1(workdir, tmp_path, capsys, case):
+    rc = main(BAD_FLAGS[case](workdir, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "input error" in err or "error: argument" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
+# ---------------------------------------------------------------------------
 # top level
 
 

@@ -167,21 +167,18 @@ def test_round_trip_with_labels_last(tmp_path):
         labels=np.array(["in", "out"], dtype=object),
     )
     p = tmp_path / "rtl.csv"
-    write_csv(ds, p, label_last=True)
+    write_csv(ds, p)
     back = load_csv(p, label_column=-1)
     np.testing.assert_array_equal(back.features, ds.features)
     assert list(back.labels) == ["in", "out"]
 
 
 def test_round_trip_with_labels_first(tmp_path):
-    ds = Dataset(
-        features=np.array([[1.0 / 3.0, 2.0 / 7.0]]),
-        labels=np.array(["z"], dtype=object),
-    )
+    a, b = 1.0 / 3.0, 2.0 / 7.0
     p = tmp_path / "rtf.csv"
-    write_csv(ds, p, label_last=False)
+    p.write_text(f"z,{a!r},{b!r}\n")
     back = load_csv(p, label_column=0)
-    np.testing.assert_array_equal(back.features, ds.features)
+    np.testing.assert_array_equal(back.features, [[a, b]])
     assert list(back.labels) == ["z"]
 
 
@@ -278,6 +275,11 @@ def test_gaussian_full_covariance_matrix():
     ds = synth("gaussian", 4000, seed=2, cov=cov)
     sample = np.cov(ds.features.T)
     assert np.abs(sample - cov).max() < 0.1
+
+
+def test_gaussian_rejects_empty_dimension():
+    with pytest.raises(DataError):
+        synth("gaussian", 5, d=0)
 
 
 def test_gaussian_rejects_misshapen_covariance():

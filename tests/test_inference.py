@@ -41,6 +41,19 @@ def test_anomaly_score_zero_exactly_on_the_boundary():
     assert anomaly_score(0.3, -0.3, 0.3) == 0.0
 
 
+def test_decision_rule_over_arrays_matches_it_row_by_row():
+    rng = np.random.default_rng(1)
+    s1 = np.round(rng.uniform(-1, 1, 300), 1)   # rounding puts rows on the margins
+    s2 = np.round(rng.uniform(-1, 1, 300), 1)
+    eta = 0.3
+    labels = classify(s1, s2, eta)
+    scores = anomaly_score(s1, s2, eta)
+    assert labels.dtype == bool and scores.shape == (300,)
+    assert labels.tolist() == [bool(classify(a, b, eta)) for a, b in zip(s1, s2)]
+    assert scores.tolist() == [float(anomaly_score(a, b, eta)) for a, b in zip(s1, s2)]
+    assert scores.tolist() == [max(eta - a, b + eta) for a, b in zip(s1.tolist(), s2.tolist())]
+
+
 # ---------------------------------------------------------------------------
 # two_means
 

@@ -34,6 +34,12 @@ def test_spec_lowercases_family():
         {"family": "polynomial", "degree": 0},
         {"family": "polynomial", "degree": 2.5},
         {"family": "polynomial", "offset": -0.1},
+        {"family": "rbf", "sigma": float("nan")},
+        {"family": "rbf", "sigma": float("inf")},
+        {"family": "polynomial", "degree": float("nan")},
+        {"family": "polynomial", "degree": float("inf")},
+        {"family": "polynomial", "offset": float("nan")},
+        {"family": "polynomial", "offset": float("inf")},
     ],
 )
 def test_spec_rejects_bad_parameters(kwargs):

@@ -35,7 +35,10 @@ def _duals(k, n, seed):
 # hyperparameters
 
 
-@pytest.mark.parametrize("kwargs", [{"k": 0}, {"eta": 0.0}, {"eta": -0.1}, {"lam": -1.0}])
+@pytest.mark.parametrize("kwargs", [
+    {"k": 0}, {"eta": 0.0}, {"eta": -0.1}, {"lam": -1.0},
+    {"eta": float("nan")}, {"eta": float("inf")}, {"lam": float("nan")}, {"lam": float("inf")},
+])
 def test_hyper_rejects_bad_values(kwargs):
     with pytest.raises(DomainError):
         KodsHyper(**kwargs)
@@ -171,6 +174,10 @@ def test_training_is_deterministic():
 def test_trained_duals_stay_feasible():
     (model, report), _ = _train_small()
     assert kods_feasibility(model) <= 1e-8
+    # The same residual as the training manifold over the jittered Gram.
+    g = gram(model.kernel, model.support) + model.jitter * np.eye(model.support.shape[0])
+    manifold, _ = build_kods_problem(g, model.hyper)
+    assert kods_feasibility(model) == manifold.feasibility((model.duals.y, model.duals.z))
     assert all(b <= a for a, b in zip(report.objective_trace, report.objective_trace[1:]))
 
 

@@ -13,6 +13,7 @@ from ocds.manifolds import (
     Product,
     Sphere,
     Stiefel,
+    _gram_residual,
     tree_dot,
     tree_leaves,
     tree_map,
@@ -419,6 +420,34 @@ def test_product_rejects_wrong_tuple_length():
     p = man.random_point(0)
     with pytest.raises(DimensionError):
         man.retract((p[0],), (p[0],))
+
+
+@pytest.mark.parametrize(
+    "man", [Euclidean(3, 2), Sphere(4), Oblique(4, 3), PositiveVector(3)],
+    ids=lambda m: m.name,
+)
+def test_gradient_conversion_defaults_to_the_tangent_projection(man):
+    point = man.random_point(3)
+    egrad = _random_ambient(point, 4)
+    rgrad = man.egrad_to_rgrad(point, egrad)
+    np.testing.assert_array_equal(rgrad, man.project_tangent(point, egrad))
+
+
+def test_product_transport_is_factorwise():
+    man = Product(Stiefel(4, 2), Sphere(3), Euclidean(2))
+    start, end = man.random_point(5), man.random_point(6)
+    t = _random_tangent(man, start, 7)
+    moved = man.transport(start, end, t)
+    for f, s, e, ti, mi in zip(man.factors, start, end, t, moved):
+        np.testing.assert_array_equal(mi, f.transport(s, e, ti))
+
+
+def test_gram_residual_is_the_generalized_stiefel_feasibility():
+    gram = _pd_gram(6, 1)
+    man = GeneralizedStiefel(6, 2, gram)
+    u = np.random.default_rng(8).standard_normal((2, 6))
+    assert _gram_residual(u, gram) == man.feasibility(u)
+    assert _gram_residual(man.random_point(9), gram) <= FEAS_TOL
 
 
 def test_ambient_dimensions():

@@ -63,6 +63,14 @@ def _model(variant, w1, b1, w2, b2, r1=None, r2=None, k=None, normalize=False):
         {"lam": -1.0},
         {"p_norm": 0.5},
         {"variant": "bods", "k": 2},
+        {"eta": float("nan")},
+        {"eta": float("inf")},
+        {"nu": float("nan")},
+        {"nu": float("inf")},
+        {"lam": float("nan")},
+        {"lam": float("inf")},
+        {"p_norm": float("nan")},
+        {"p_norm": float("inf")},
     ],
 )
 def test_hyper_rejects_bad_values(kwargs):
