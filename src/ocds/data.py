@@ -7,13 +7,14 @@ across platforms.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimensionError, SchemaError
+from .errors import DataError, DimensionError, DomainError, SchemaError
 
 __all__ = [
     "Dataset",
@@ -192,6 +193,21 @@ def _training_rows(x) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DataError("training data contains non-finite values")
     return x
+
+
+def _check_model(eta_effective, arrays) -> None:
+    """Checks shared by both trained-model dataclasses: a finite threshold
+    > 0 (DomainError), and for each (name, array, shape) a finite array of
+    exactly that shape, or no array where shape is None (DimensionError)."""
+    if not (math.isfinite(eta_effective) and eta_effective > 0.0):
+        raise DomainError(f"eta_effective must be finite and > 0, got {eta_effective}")
+    for name, a, shape in arrays:
+        got = None if a is None else np.shape(a)
+        if got != shape:
+            want_s, got_s = ("no array" if s is None else f"shape {s}" for s in (shape, got))
+            raise DimensionError(f"{name}: expected {want_s}, got {got_s}")
+        if a is not None and not np.isfinite(a).all():
+            raise DimensionError(f"{name} has non-finite entries")
 
 
 def one_class_split(

@@ -32,7 +32,7 @@ class KernelSpec:
     offset: float = 1.0      # polynomial additive offset
 
     def __post_init__(self):
-        fam = self.family.lower()
+        fam = self.family.lower() if isinstance(self.family, str) else self.family
         if fam not in FAMILIES:
             raise DomainError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
         object.__setattr__(self, "family", fam)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _training_rows, l2_normalize
+from .data import _check_model, _training_rows, l2_normalize
 from .errors import DimensionError, DomainError
 from .kernels import KernelSpec, ensure_pd, gram
 from .manifolds import GeneralizedStiefel, Product, _gram_residual
@@ -74,6 +74,19 @@ class KodsModel:
     jitter: float                # diagonal jitter applied to the Gram geometry
     normalization: bool
     hyper: KodsHyper
+
+    def __post_init__(self):
+        if not (math.isfinite(self.jitter) and self.jitter >= 0.0):
+            raise DomainError(f"jitter must be finite and >= 0, got {self.jitter}")
+        shape = np.shape(self.support)
+        if len(shape) != 2:
+            raise DimensionError(f"support must be a 2-D array, got shape {shape}")
+        k, n = self.hyper.k, shape[0]
+        _check_model(self.eta_effective, [
+            ("support", self.support, shape),
+            ("duals.y", self.duals.y, (k, n)), ("duals.z", self.duals.z, (k, n)),
+            ("b1", self.b1, (k,)), ("b2", self.b2, (k,)),
+        ])
 
 
 def _check_duals(duals: DualVars, gram_mat: np.ndarray):

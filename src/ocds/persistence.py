@@ -1,5 +1,13 @@
 """Model serialization: versioned, human-diffable JSON.
 
+A model file is the model's dataclass tree, written by one encoder and
+read back by one decoder that both walk the dataclass fields. Arrays are
+{"shape", "data"} objects; None fields (r1/r2 outside gods_n) are left
+out. On load each JSON value must have its field's type, and the rebuilt
+dataclasses check finiteness, ranges and shape agreement themselves, so
+wrong types, non-finite values and inconsistent shapes all surface as
+`SchemaError` (CLI exit 1).
+
 Floats are emitted through Python's repr (the json module's default),
 which round-trips every finite double exactly, so a save/load cycle is
 bit-exact and two saves of the same model are byte-identical. Training
@@ -7,34 +15,23 @@ wall time and other run-dependent values are deliberately excluded.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SchemaError
-from .kernels import KernelSpec
-from .kods import DualVars, KodsHyper, KodsModel
-from .primal import FramePair, GodsHyper, TrainedPrimalModel
+from .kods import KodsModel
+from .primal import TrainedPrimalModel
 
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model", "data_fingerprint"]
 
 SCHEMA_VERSION = 1
 
-
-def _encode_array(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=np.float64)
-    return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
-
-
-def _decode_array(obj, what: str) -> np.ndarray:
-    try:
-        shape = tuple(int(s) for s in obj["shape"])
-        data = np.asarray(obj["data"], dtype=np.float64)
-        return data.reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"model file: bad array field {what!r}: {exc}") from None
+_KINDS = {"primal": TrainedPrimalModel, "kods": KodsModel}
 
 
 def data_fingerprint(x: np.ndarray) -> str:
@@ -46,79 +43,81 @@ def data_fingerprint(x: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def _fields(cls):
+    """(field, type) pairs of a dataclass, with `X | None` reduced to X."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+        yield f, (args[0] if args else hints[f.name])
+
+
+def _encode(obj) -> dict:
+    doc = {}
+    for f, tp in _fields(type(obj)):
+        value = getattr(obj, f.name)
+        if value is None:
+            continue
+        if dataclasses.is_dataclass(tp):
+            doc[f.name] = _encode(value)
+        elif tp is np.ndarray:
+            a = np.asarray(value, dtype=np.float64)
+            doc[f.name] = {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
+        else:
+            doc[f.name] = tp(value)
+    return doc
+
+
+def _decode_value(tp, value):
+    if dataclasses.is_dataclass(tp):
+        return _decode(tp, value)
+    if tp is np.ndarray:
+        shape = [_decode_value(int, s) for s in value["shape"]]
+        return np.asarray(value["data"], dtype=np.float64).reshape(shape)
+    # bool subclasses int in Python: it fills a bool field and nothing else
+    if isinstance(value, bool) is not (tp is bool) or not isinstance(
+        value, (int, float) if tp is float else tp
+    ):
+        raise SchemaError(f"expected {tp.__name__}, got {value!r}")
+    return tp(value)
+
+
+def _decode(cls, doc):
+    """Build dataclass cls from a JSON object; fields defaulting to None may
+    be absent. Every failure, the dataclass's own checks included, is a
+    SchemaError naming the offending field."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected an object, got {type(doc).__name__}")
+    kwargs = {}
+    for f, tp in _fields(cls):
+        if f.name not in doc:
+            if f.default is None:
+                continue
+            raise SchemaError(f"missing field {f.name!r}")
+        try:
+            kwargs[f.name] = _decode_value(tp, doc[f.name])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            label = (f"{f.name} block" if dataclasses.is_dataclass(tp)
+                     else f"array field {f.name!r}" if tp is np.ndarray
+                     else f"field {f.name!r}")
+            raise SchemaError(f"bad {label}: {exc}") from None
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc)) from None
+
+
 def save_model(model, path, fingerprint: dict | None = None) -> None:
     """Write a trained model (either family) to path as JSON."""
-    if isinstance(model, TrainedPrimalModel):
-        doc = _primal_doc(model)
-    elif isinstance(model, KodsModel):
-        doc = _kods_doc(model)
-    else:
+    kind = next((k for k, cls in _KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise SchemaError(f"cannot serialize object of type {type(model).__name__}")
+    doc = _encode(model)
+    doc["kind"] = kind
     doc["schema_version"] = SCHEMA_VERSION
     if fingerprint is not None:
         doc["fingerprint"] = fingerprint
     text = json.dumps(doc, sort_keys=True, indent=1)
     Path(path).write_text(text + "\n")
-
-
-def _primal_doc(model: TrainedPrimalModel) -> dict:
-    fr = model.frames
-    h = model.hyper
-    doc = {
-        "kind": "primal",
-        "hyper": {
-            "variant": h.variant,
-            "k": h.k,
-            "eta": h.eta,
-            "nu": h.nu,
-            "lam": h.lam,
-            "p_norm": h.p_norm,
-            "normalize": h.normalize,
-        },
-        "eta_effective": float(model.eta_effective),
-        "feature_dim": int(model.feature_dim),
-        "normalization": bool(model.normalization),
-        "frames": {
-            "w1": _encode_array(fr.w1),
-            "b1": _encode_array(fr.b1),
-            "w2": _encode_array(fr.w2),
-            "b2": _encode_array(fr.b2),
-        },
-    }
-    if fr.r1 is not None:
-        doc["frames"]["r1"] = _encode_array(fr.r1)
-        doc["frames"]["r2"] = _encode_array(fr.r2)
-    return doc
-
-
-def _kods_doc(model: KodsModel) -> dict:
-    h = model.hyper
-    ker = model.kernel
-    return {
-        "kind": "kods",
-        "hyper": {
-            "k": h.k,
-            "eta": h.eta,
-            "lam": h.lam,
-            "normalize": h.normalize,
-        },
-        "kernel": {
-            "family": ker.family,
-            "sigma": ker.sigma,
-            "degree": ker.degree,
-            "offset": ker.offset,
-        },
-        "eta_effective": float(model.eta_effective),
-        "jitter": float(model.jitter),
-        "normalization": bool(model.normalization),
-        "duals": {
-            "y": _encode_array(model.duals.y),
-            "z": _encode_array(model.duals.z),
-        },
-        "b1": _encode_array(model.b1),
-        "b2": _encode_array(model.b2),
-        "support": _encode_array(model.support),
-    }
 
 
 def load_model(path):
@@ -139,94 +138,10 @@ def load_model(path):
             f"(expected {SCHEMA_VERSION})"
         )
     kind = doc.get("kind")
-    if kind == "primal":
-        return _load_primal(doc)
-    if kind == "kods":
-        return _load_kods(doc)
-    raise SchemaError(f"model file {path}: unknown kind {kind!r}")
-
-
-def _need(doc: dict, key: str):
-    if not isinstance(doc, dict):
-        raise SchemaError(
-            f"model file: expected an object with field {key!r}, got {type(doc).__name__}"
-        )
-    if key not in doc:
-        raise SchemaError(f"model file: missing field {key!r}")
-    return doc[key]
-
-
-def _scalar(doc: dict, key: str, cast):
-    value = _need(doc, key)
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SchemaError(f"model file {path}: unknown kind {kind!r}")
     try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"model file: bad field {key!r}: {exc}") from None
-
-
-def _load_primal(doc: dict) -> TrainedPrimalModel:
-    h = _need(doc, "hyper")
-    try:
-        hyper = GodsHyper(
-            variant=h["variant"],
-            k=int(h["k"]),
-            eta=float(h["eta"]),
-            nu=float(h["nu"]),
-            lam=float(h["lam"]),
-            p_norm=float(h["p_norm"]),
-            normalize=bool(h["normalize"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"model file: bad hyper block: {exc}") from None
-    fr = _need(doc, "frames")
-    frames = FramePair(
-        w1=_decode_array(_need(fr, "w1"), "w1"),
-        b1=_decode_array(_need(fr, "b1"), "b1"),
-        w2=_decode_array(_need(fr, "w2"), "w2"),
-        b2=_decode_array(_need(fr, "b2"), "b2"),
-        r1=_decode_array(fr["r1"], "r1") if "r1" in fr else None,
-        r2=_decode_array(fr["r2"], "r2") if "r2" in fr else None,
-    )
-    return TrainedPrimalModel(
-        frames=frames,
-        hyper=hyper,
-        eta_effective=_scalar(doc, "eta_effective", float),
-        feature_dim=_scalar(doc, "feature_dim", int),
-        normalization=bool(_need(doc, "normalization")),
-    )
-
-
-def _load_kods(doc: dict) -> KodsModel:
-    h = _need(doc, "hyper")
-    ker = _need(doc, "kernel")
-    try:
-        hyper = KodsHyper(
-            k=int(h["k"]),
-            eta=float(h["eta"]),
-            lam=float(h["lam"]),
-            normalize=bool(h["normalize"]),
-        )
-        kernel = KernelSpec(
-            family=ker["family"],
-            sigma=float(ker["sigma"]),
-            degree=int(ker["degree"]),
-            offset=float(ker["offset"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"model file: bad hyper/kernel block: {exc}") from None
-    duals_doc = _need(doc, "duals")
-    duals = DualVars(
-        y=_decode_array(_need(duals_doc, "y"), "y"),
-        z=_decode_array(_need(duals_doc, "z"), "z"),
-    )
-    return KodsModel(
-        duals=duals,
-        kernel=kernel,
-        support=_decode_array(_need(doc, "support"), "support"),
-        b1=_decode_array(_need(doc, "b1"), "b1"),
-        b2=_decode_array(_need(doc, "b2"), "b2"),
-        eta_effective=_scalar(doc, "eta_effective", float),
-        jitter=_scalar(doc, "jitter", float),
-        normalization=bool(_need(doc, "normalization")),
-        hyper=hyper,
-    )
+        return _decode(cls, doc)
+    except SchemaError as exc:
+        raise SchemaError(f"model file {path}: {exc}") from None

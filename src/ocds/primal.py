@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import _training_rows, l2_normalize
+from .data import _check_model, _training_rows, l2_normalize
 from .errors import DataError, DimensionError, DomainError
 from .manifolds import (
     Euclidean,
@@ -73,7 +73,7 @@ class GodsHyper:
     normalize: bool = True
 
     def __post_init__(self):
-        v = self.variant.lower()
+        v = self.variant.lower() if isinstance(self.variant, str) else self.variant
         if v not in VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         self.variant = v
@@ -111,6 +111,17 @@ class TrainedPrimalModel:
     eta_effective: float
     feature_dim: int
     normalization: bool
+
+    def __post_init__(self):
+        # Structure only: unit norms and positive scales are what
+        # frame_feasibility measures, so they are not enforced here.
+        fr, d, k = self.frames, self.feature_dim, self.hyper.k
+        scales = (k,) if self.hyper.variant == "gods_n" else None
+        _check_model(self.eta_effective, [
+            ("frames.w1", fr.w1, (d, k)), ("frames.w2", fr.w2, (d, k)),
+            ("frames.b1", fr.b1, (k,)), ("frames.b2", fr.b2, (k,)),
+            ("frames.r1", fr.r1, scales), ("frames.r2", fr.r2, scales),
+        ])
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,8 @@ def test_spec_lowercases_family():
         {"family": "polynomial", "degree": float("inf")},
         {"family": "polynomial", "offset": float("nan")},
         {"family": "polynomial", "offset": float("inf")},
+        {"family": 5},
+        {"family": None},
     ],
 )
 def test_spec_rejects_bad_parameters(kwargs):

@@ -1,4 +1,6 @@
 """Kernelized dual model: objective, gradients, recovery, training, scoring."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -283,3 +285,37 @@ def test_scores_dimension_validation():
         kods_scores(model, np.zeros(2))
     with pytest.raises(DimensionError):
         kods_scores_batch(model, np.zeros((3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# model invariants
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta_effective", float("nan")),
+    ("eta_effective", -1.0),
+    ("jitter", float("nan")),
+    ("jitter", float("inf")),
+    ("jitter", -1e-12),
+])
+def test_model_rejects_bad_scalars(field, value):
+    model = _scalar_model([[1.0]], [[1.0]], [-0.7], [0.7])
+    with pytest.raises(DomainError):
+        replace(model, **{field: value})
+
+
+@pytest.mark.parametrize("y, b1", [
+    ([[1.0, 0.0]], [-0.7]),         # two dual columns over one support row
+    ([[1.0], [1.0]], [-0.7]),       # two dual rows for k = 1
+    ([[1.0]], [[-0.7]]),            # (1, 1) intercept
+    ([[float("nan")]], [-0.7]),     # non-finite dual
+])
+def test_model_rejects_inconsistent_duals(y, b1):
+    with pytest.raises(DimensionError):
+        _scalar_model(y, [[1.0]], b1, [0.7])
+
+
+def test_model_rejects_a_flat_support_set():
+    model = _scalar_model([[1.0]], [[1.0]], [-0.7], [0.7])
+    with pytest.raises(DimensionError):
+        replace(model, support=np.array([1.0]))

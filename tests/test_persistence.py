@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ocds.cli import main
 from ocds.data import synth
 from ocds.errors import SchemaError
 from ocds.kernels import KernelSpec
@@ -246,3 +247,102 @@ def test_malformed_field_raises(request, tmp_path, model, field, value):
 def test_unserializable_object_raises():
     with pytest.raises(SchemaError, match="cannot serialize"):
         save_model({"not": "a model"}, "/tmp/never.json")
+
+
+# ---------------------------------------------------------------------------
+# malformed files: wrong types, bad values, inconsistent shapes
+
+
+def _set(*keys, value):
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return mutate
+
+
+def _transpose(*keys):
+    def mutate(doc):
+        for key in keys:
+            doc = doc[key]
+        rows, cols = doc["shape"]
+        doc["data"] = np.reshape(doc["data"], (rows, cols)).T.ravel().tolist()
+        doc["shape"] = [cols, rows]
+    return mutate
+
+
+def _stray_r1(doc):
+    k = doc["hyper"]["k"]
+    doc["frames"]["r1"] = {"shape": [k], "data": [2.0] * k}
+
+
+def _nan_entry(doc):
+    doc["frames"]["w1"]["data"][0] = float("nan")
+
+
+MALFORMED = {
+    "eta_effective_nan": ("gods_model", _set("eta_effective", value=float("nan"))),
+    "eta_effective_negative": ("gods_model", _set("eta_effective", value=-1.0)),
+    "jitter_nan": ("kods_model", _set("jitter", value=float("nan"))),
+    "w1_transposed": ("gods_model", _transpose("frames", "w1")),
+    "y_transposed": ("kods_model", _transpose("duals", "y")),
+    "r1_without_r2": ("gods_model", _stray_r1),
+    "kods_b1_1x1": ("kods_model", _set("b1", value={"shape": [1, 1], "data": [0.5]})),
+    "w1_nan_entry": ("gods_model", _nan_entry),
+    "variant_int": ("gods_model", _set("hyper", "variant", value=5)),
+    "family_int": ("kods_model", _set("kernel", "family", value=5)),
+    "k_fractional": ("gods_model", _set("hyper", "k", value=2.7)),
+    "normalize_string": ("gods_model", _set("hyper", "normalize", value="no")),
+    "kind_list": ("gods_model", _set("kind", value=[])),
+}
+
+
+def _malformed_file(request, tmp_path, case):
+    fixture, mutate = MALFORMED[case]
+    model = request.getfixturevalue(fixture)
+    p = tmp_path / f"{case}.json"
+    save_model(model, p)
+    doc = json.loads(p.read_text())
+    mutate(doc)
+    p.write_text(json.dumps(doc))
+    return p
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_file_raises_schema_error(request, tmp_path, case):
+    with pytest.raises(SchemaError, match="model file"):
+        load_model(_malformed_file(request, tmp_path, case))
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_file_fails_predict_with_exit_1(request, tmp_path, capsys, case):
+    bad = _malformed_file(request, tmp_path, case)
+    csv = tmp_path / "rows.csv"
+    csv.write_text("0.5,1.0,1.5\n1.0,1.5,2.0\n")
+    rc = main(["predict", "--model", str(bad), "--data", str(csv)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "input error: model file" in err
+    assert "Traceback" not in err
+
+
+def test_scaled_variant_needs_both_scale_vectors(tmp_path):
+    x = synth("gaussian", 30, seed=2, d=3, mean=1.2, cov=0.3).features
+    model, _ = train_primal(x, GodsHyper(variant="gods_n", k=2), cfg=CFG, seed=0)
+    p = tmp_path / "n.json"
+    save_model(model, p)
+    doc = json.loads(p.read_text())
+    del doc["frames"]["r2"]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="frames.r2"):
+        load_model(p)
+
+
+def test_integer_valued_float_fields_load_as_floats(gods_model, tmp_path):
+    p = tmp_path / "int.json"
+    save_model(gods_model, p)
+    doc = json.loads(p.read_text())
+    doc["hyper"]["nu"] = 2
+    p.write_text(json.dumps(doc))
+    back = load_model(p)
+    assert back.hyper.nu == 2.0 and type(back.hyper.nu) is float

@@ -1,4 +1,6 @@
 """Hyperplane-pair objectives, gradients, initialization, and training."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,8 @@ def _model(variant, w1, b1, w2, b2, r1=None, r2=None, k=None, normalize=False):
         {"lam": float("inf")},
         {"p_norm": float("nan")},
         {"p_norm": float("inf")},
+        {"variant": 5},
+        {"variant": None},
     ],
 )
 def test_hyper_rejects_bad_values(kwargs):
@@ -471,3 +475,29 @@ def test_feasibility_gods_n_flags_nonpositive_scales():
 def test_feasibility_bods_measures_unit_norm_drift():
     model = _model("bods", [[2.0], [0.0]], [0.0], [[1.0], [0.0]], [0.0], k=1)
     assert abs(frame_feasibility(model) - 1.0) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# model invariants
+
+
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -1.0])
+def test_model_rejects_bad_threshold(eta):
+    model = _model("gods", [[1.0], [0.0]], [0.0], [[0.0], [1.0]], [0.0])
+    with pytest.raises(DomainError):
+        replace(model, eta_effective=eta)
+
+
+@pytest.mark.parametrize("variant, changes", [
+    ("gods", {"w1": [[1.0, 0.0]]}),                 # transposed frame
+    ("gods", {"b1": [[0.0]]}),                      # (1, 1) intercept
+    ("gods", {"w2": [[0.0], [float("nan")]]}),      # non-finite entry
+    ("gods", {"r1": [2.0], "r2": [1.0]}),           # scales on a plain variant
+    ("gods_n", {}),                                 # scaled variant without scales
+    ("gods_n", {"r1": [2.0]}),                      # one scale vector only
+    ("gods_n", {"r1": [2.0, 1.0], "r2": [1.0]}),    # scales of the wrong length
+])
+def test_model_rejects_inconsistent_frames(variant, changes):
+    arrays = {"w1": [[1.0], [0.0]], "b1": [0.0], "w2": [[0.0], [1.0]], "b2": [0.0], **changes}
+    with pytest.raises(DimensionError):
+        _model(variant, k=1, **arrays)
