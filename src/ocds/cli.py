@@ -135,6 +135,7 @@ def cmd_train(args) -> int:
         "wall_time": report.wall_time,
         "objective_trace": report.objective_trace,
         "grad_norm_trace": report.grad_norm_trace,
+        "step_trace": report.step_trace,
     }
     report_path = Path(str(args.out) + ".report.json")
     report_path.write_text(json.dumps(report_doc, indent=1) + "\n")

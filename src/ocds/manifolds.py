@@ -461,8 +461,10 @@ class GeneralizedStiefel(Manifold):
     def _apply_gram_inverse(self, m: np.ndarray) -> np.ndarray:
         # Right-multiplication by gram^{-1}: rows of m are solved against
         # the cached Cholesky factor. gram is symmetric, so transposing
-        # through the solve is exact.
-        return scipy.linalg.cho_solve(self._cho, m.T).T
+        # through the solve is exact. cho_factor checked the n x n factor
+        # once at construction; only the k x n argument is checked here.
+        m = np.asarray_chkfinite(m)
+        return scipy.linalg.cho_solve(self._cho, m.T, check_finite=False).T
 
     def project_tangent(self, point, ambient):
         a = self._expect(ambient, (self.k, self.n), "ambient matrix")
@@ -470,7 +472,8 @@ class GeneralizedStiefel(Manifold):
 
     def egrad_to_rgrad(self, point, egrad):
         g = self._expect(egrad, (self.k, self.n), "gradient")
-        return self._apply_gram_inverse(g) - point @ (g.T @ point)
+        # (U g^T) U, not U (g^T U): the k x k product avoids an n x n one.
+        return self._apply_gram_inverse(g) - (point @ g.T) @ point
 
     def polar(self, v: np.ndarray) -> np.ndarray:
         """Map a full-row-rank ambient matrix onto the manifold via the

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .data import _check_model, _training_rows, l2_normalize
-from .errors import DataError, DimensionError, DomainError
+from .errors import DataError, DimensionError, DomainError, NumericError
 from .manifolds import (
     Euclidean,
     Manifold,
@@ -225,6 +225,13 @@ def _pnorm_grad(r: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
         return np.ones_like(r)
     total = float(np.sum(r**p))
+    if total == 0.0:
+        # The scales collapsed so far toward zero that every r**p underflowed;
+        # the gradient of the norm is undefined there.
+        raise NumericError(
+            f"gods_n scales underflowed: sum(r**{p:g}) is 0, so the {p:g}-norm "
+            f"gradient is undefined"
+        )
     return total ** (1.0 / p - 1.0) * r ** (p - 1.0)
 
 

@@ -6,6 +6,14 @@ direction and gradient are carried to the new iterate by projection
 transport. Step acceptance uses the Armijo sufficient-decrease test, so
 the objective trace is non-increasing by construction. Directions follow
 the nonnegative Polak-Ribiere (PR+) rule, restarted every ambient dimension.
+
+The search remembers its step size: each Armijo search starts at
+min(1, 2 x the last accepted step) rather than at 1, so a run whose
+accepted steps are small stops paying for the halvings down to them on
+every iteration (Manopt's ``linesearch_adaptive``; Absil, Mahony &
+Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008, ch. 4).
+The first search starts at 1. Every accepted step is a power of two in
+(0, 1], and ``SolveReport.step_trace`` records them.
 """
 from __future__ import annotations
 
@@ -31,8 +39,9 @@ from .manifolds import (
 __all__ = ["Objective", "SolverConfig", "SolveReport", "minimize", "fd_gradient_check"]
 
 _ARMIJO_C = 1e-4
-# A line search that halves 60 times from step 1.0 reaches ~8.7e-19; below
-# that no float64 objective can register a decrease, so we report a stall.
+# A line search halves at most 60 times from its start step. From step 1.0
+# that reaches ~8.7e-19, below which no float64 objective can register a
+# decrease, so we report a stall.
 _MAX_HALVINGS = 60
 _FD_STEP = 1e-6
 
@@ -64,17 +73,21 @@ class SolveReport:
     grad_norm_trace: list[float] = field(default_factory=list)
     converged: bool = False
     wall_time: float = 0.0
+    step_trace: list[float] = field(default_factory=list)
 
 
-def _line_search(obj, manifold, point, direction, f0, slope):
-    """Backtracking Armijo search along a tangent direction.
+def _line_search(obj, manifold, point, direction, f0, slope, step):
+    """Backtracking Armijo search along a tangent direction, starting at
+    the given step and halving it on each rejection.
 
-    Returns (new_point, new_cost) or None when 60 halvings fail to find
-    sufficient decrease. Degenerate retractions and non-finite trial costs
-    count as rejections, not errors.
+    Returns (new_point, new_cost, accepted_step) or None when 60 halvings
+    fail to find sufficient decrease, or the step underflows to zero (a zero
+    step would pass the test without moving). Degenerate retractions and
+    non-finite trial costs count as rejections, not errors.
     """
-    step = 1.0
     for _ in range(_MAX_HALVINGS):
+        if step == 0.0:
+            break
         try:
             candidate = manifold.retract(point, tree_scale(direction, step))
         except DegenerateStepError:
@@ -82,15 +95,16 @@ def _line_search(obj, manifold, point, direction, f0, slope):
             continue
         fc = float(obj.cost(candidate))
         if np.isfinite(fc) and fc <= f0 + _ARMIJO_C * step * slope:
-            return candidate, fc
+            return candidate, fc, step
         step *= 0.5
     return None
 
 
-def _descend(obj, manifold, point, f, egrad, grad, direction):
+def _descend(obj, manifold, point, f, egrad, grad, direction, step=1.0):
     """One Armijo step along the conjugate direction, if there is one (not
-    None) and it succeeds, else along -grad. Returns (new point, new cost,
-    direction taken), or None when neither gives a descent step.
+    None) and it succeeds, else along -grad; both searches start at the
+    given step. Returns (new point, new cost, direction taken, accepted
+    step), or None when neither gives a descent step.
 
     The slope of cost(retract(point, s*d)) at s = 0 is tree_dot(egrad, d):
     the retraction curve leaves with velocity d, so the chain rule pairs the
@@ -100,19 +114,21 @@ def _descend(obj, manifold, point, f, egrad, grad, direction):
         d = tree_scale(grad, -1.0) if d is None else d
         slope = tree_dot(egrad, d)
         if slope < 0.0:
-            hit = _line_search(obj, manifold, point, d, f, slope)
+            hit = _line_search(obj, manifold, point, d, f, slope, step)
             if hit is not None:
-                return hit + (d,)
+                new_point, new_f, accepted = hit
+                return new_point, new_f, d, accepted
     return None
 
 
 def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None = None):
     """Minimize obj over the manifold starting from init.
 
-    Returns (point, SolveReport). A stalled line search is a reported
-    condition, not an exception: the best iterate found so far comes back
-    with converged=False. Non-finite cost or gradient values at an accepted
-    iterate raise NumericError naming the iterate.
+    Returns (point, SolveReport). Each line search starts at min(1, 2 x the
+    previous accepted step), the first at 1. A stalled line search is a
+    reported condition, not an exception: the best iterate found so far
+    comes back with converged=False. Non-finite cost or gradient values at
+    an accepted iterate raise NumericError naming the iterate.
     """
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
@@ -132,15 +148,18 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
     gtrace = [gnorm]
     iterations = 0
     converged = gnorm <= cfg.grad_tol
+    steps: list[float] = []
     direction = None  # no conjugate direction: the next step is steepest descent
 
     while not converged and iterations < cfg.max_iters:
-        hit = _descend(obj, manifold, point, f, egrad, grad, direction)
+        start_step = min(1.0, 2.0 * steps[-1]) if steps else 1.0
+        hit = _descend(obj, manifold, point, f, egrad, grad, direction, start_step)
         if hit is None:
             break  # stall: report what we have
 
         prev_point, prev_grad, prev_gnorm = point, grad, gnorm
-        point, f, direction = hit
+        point, f, direction, step = hit
+        steps.append(step)
         iterations += 1
 
         egrad = obj.egrad(point)
@@ -167,7 +186,8 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
 
     return point, SolveReport(iterations=iterations, objective_trace=trace,
                               grad_norm_trace=gtrace, converged=converged,
-                              wall_time=time.perf_counter() - start)
+                              wall_time=time.perf_counter() - start,
+                              step_trace=steps)
 
 
 def fd_gradient_check(obj: Objective, point) -> float:

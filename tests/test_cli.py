@@ -94,6 +94,26 @@ def test_train_numeric_failure_exits_2(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_train_gods_n_scale_underflow_exits_2(tmp_path, capsys):
+    csv = tmp_path / "g.csv"
+    assert main(["synth", "--kind", "gaussian", "--n", "80", "--d", "3",
+                 "--seed", "0", "--out", str(csv)]) == 0
+    rc = main(["train", "--data", str(csv), "--variant", "gods_n", "--k", "2",
+               "--max-iters", "50", "--p-norm", "2", "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "numeric error" in err and "Traceback" not in err
+
+
+def test_train_report_holds_the_accepted_steps(workdir):
+    report = json.loads((workdir / "gods.json.report.json").read_text())
+    steps = report["step_trace"]
+    assert len(steps) == report["iterations"] > 0
+    for step in steps:
+        assert 0.0 < step <= 1.0 and np.frexp(step)[0] == 0.5
+    assert "step_trace" not in (workdir / "gods.json").read_text()
+
+
 # ---------------------------------------------------------------------------
 # predict
 

@@ -133,6 +133,30 @@ def test_rgrad_generalized_identity_gram_matches_stiefel_formula():
         assert np.abs(got - oracle).max() <= TANG_TOL
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_rgrad_generalized_matches_the_dense_formula(k):
+    # G^{-1} g - U g^T U, with G^{-1} formed explicitly and the n x n
+    # product g^T U built, as the reference the k x k order must reproduce
+    n = 12
+    gram = _pd_gram(n, 3)
+    man = GeneralizedStiefel(n, k, gram)
+    for seed in range(5):
+        u = man.random_point(seed)
+        g = np.random.default_rng(seed + 40).standard_normal((k, n))
+        oracle = g @ np.linalg.inv(gram) - u @ (g.T @ u)
+        got = man.egrad_to_rgrad(u, g)
+        assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rgrad_generalized_rejects_a_non_finite_gradient(bad):
+    man = GeneralizedStiefel(6, 2, _pd_gram(6, 0))
+    g = np.ones((2, 6))
+    g[1, 4] = bad
+    with pytest.raises(ValueError):
+        man.egrad_to_rgrad(man.random_point(0), g)
+
+
 @pytest.mark.parametrize("man", MANIFOLDS, ids=IDS)
 def test_rgrad_lands_in_the_tangent_space(man):
     for seed in range(5):

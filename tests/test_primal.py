@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ocds.data import synth
-from ocds.errors import DataError, DimensionError, DomainError
+from ocds.errors import DataError, DimensionError, DomainError, NumericError
 from ocds.inference import classify
 from ocds.primal import (
     VARIANTS,
@@ -353,6 +353,16 @@ def test_training_from_the_same_frames_is_order_independent():
     pt_a, _ = minimize(pa.objective, pa.manifold, pa.pack(init), cfg)
     pt_b, _ = minimize(pb.objective, pb.manifold, pb.pack(init), cfg)
     np.testing.assert_allclose(pa.unpack(pt_a).w1, pb.unpack(pt_b).w1, atol=1e-9)
+
+
+@pytest.mark.parametrize("p_norm", [2.0, 1.5])
+def test_gods_n_scale_underflow_is_a_numeric_error(p_norm):
+    # gods_n drives its scales toward the float floor; once sum(r**p)
+    # underflows to 0 the p-norm gradient is undefined
+    x = synth("gaussian", n=80, d=3).features
+    hyper = GodsHyper(variant="gods_n", k=2, p_norm=p_norm)
+    with pytest.raises(NumericError, match="underflowed"):
+        train_primal(x, hyper, SolverConfig(max_iters=50))
 
 
 def test_training_rejects_bad_data():

@@ -1,10 +1,14 @@
 """Conjugate-gradient solver checks against closed-form minimizers."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+import ocds.kods
+from ocds.data import synth
 from ocds.errors import DomainError, NumericError
+from ocds.kernels import KernelSpec
 from ocds.manifolds import Euclidean, Sphere, Stiefel, tree_dot
 from ocds.solver import Objective, SolverConfig, _descend, fd_gradient_check, minimize
 
@@ -96,9 +100,103 @@ def test_a_step_falls_back_to_steepest_descent():
     f, egrad = obj.cost(point), obj.egrad(point)
     grad = man.egrad_to_rgrad(point, egrad)
     for direction in (None, grad):  # no conjugate direction; an ascent direction
-        new_point, new_f, taken = _descend(obj, man, point, f, egrad, grad, direction)
+        new_point, new_f, taken, _ = _descend(obj, man, point, f, egrad, grad, direction)
         np.testing.assert_array_equal(taken, -grad)
         assert new_f < f and new_f == obj.cost(new_point)
+
+
+# ---------------------------------------------------------------------------
+# step-size memory
+
+
+class _RecordingEuclidean(Euclidean):
+    """Euclidean(1) that records every (point, tangent) the line search tries."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.trials = []
+
+    def retract(self, point, tangent):
+        self.trials.append((float(point[0]), float(tangent[0])))
+        return super().retract(point, tangent)
+
+
+@pytest.mark.parametrize("a", [5.0, 0.75])
+def test_each_search_starts_at_twice_the_last_accepted_step(a):
+    # cost a/2 x^2. With a = 5 the unit step overshoots to -4x and 0.25 is
+    # accepted; with a = 0.75 the unit step is accepted and the start is
+    # capped at 1. In one dimension every direction is -grad = -a x, so a
+    # trial's step is its tangent over -a x (exact: steps are powers of two).
+    man = _RecordingEuclidean()
+    obj = Objective(cost=lambda x: 0.5 * a * float(x @ x), egrad=lambda x: a * x)
+    _, report = minimize(obj, man, np.array([3.0]), SolverConfig(max_iters=30))
+    assert report.iterations >= 5
+
+    searches = {}  # trial steps per search, keyed by the point searched from
+    for x, t in man.trials:
+        searches.setdefault(x, []).append(t / -(a * x))
+    searches = list(searches.values())
+    accepted = [steps[-1] for steps in searches]
+    assert accepted[: report.iterations] == report.step_trace
+    assert searches[0][0] == 1.0
+    for prev, steps in zip(accepted, searches[1:]):
+        assert steps[0] == min(1.0, 2.0 * prev)
+
+
+def test_step_trace_holds_one_power_of_two_per_iteration():
+    obj, _, _ = _procrustes_problem(seed=3)
+    man = Stiefel(6, 3)
+    _, report = minimize(obj, man, man.random_point(2), SolverConfig(max_iters=40))
+    assert len(report.step_trace) == report.iterations > 0
+    for step in report.step_trace:
+        assert 0.0 < step <= 1.0 and math.frexp(step)[0] == 0.5
+
+
+def test_the_steepest_descent_fallback_starts_at_the_given_step():
+    _, obj = _rayleigh_problem(seed=2)
+    man = Sphere(5)
+    point = man.random_point(5)
+    f, egrad = obj.cost(point), obj.egrad(point)
+    grad = man.egrad_to_rgrad(point, egrad)
+    _, new_f, _, step = _descend(obj, man, point, f, egrad, grad, grad, 2.0**-6)
+    assert step <= 2.0**-6 and new_f < f
+
+
+def test_a_step_that_underflows_to_zero_is_a_stall():
+    # every move from the origin costs more; a search started at a subnormal
+    # halves to 0.0, and a zero step would pass the Armijo test by standing
+    # still, after which every later search would start at 0
+    man = Euclidean(1)
+    obj = Objective(cost=lambda x: 1.0 if x[0] == 0.0 else 2.0,
+                    egrad=lambda x: np.array([1.0]))
+    point = np.array([0.0])
+    egrad = obj.egrad(point)
+    assert _descend(obj, man, point, 1.0, egrad, egrad, None, 1e-323) is None
+
+
+def test_a_kods_ring_fit_spends_few_cost_evaluations_per_iteration(monkeypatch):
+    # without step memory every search halves down from 1 again: ~14 cost
+    # evaluations per iteration on this fit, against ~2 with it
+    calls = []
+    build = ocds.kods.build_kods_problem
+
+    def counting_build(*args, **kwargs):
+        manifold, obj = build(*args, **kwargs)
+
+        def cost(point):
+            calls.append(None)
+            return obj.cost(point)
+
+        return manifold, Objective(cost=cost, egrad=obj.egrad)
+
+    monkeypatch.setattr(ocds.kods, "build_kods_problem", counting_build)
+    x = synth("ring", 200, seed=0).features
+    _, report = ocds.kods.kods_train(
+        x, KernelSpec(family="rbf", sigma=0.06), ocds.kods.KodsHyper(k=1, normalize=False),
+        SolverConfig(max_iters=200), seed=0,
+    )
+    assert report.iterations == 200
+    assert (len(calls) - 1) / report.iterations <= 4.0
 
 
 # ---------------------------------------------------------------------------
