@@ -15,7 +15,8 @@ def main():
     x = synth("gaussian", 100, seed=0, d=2, mean=2.0, cov=0.25).features
     hyper = GodsHyper(variant="gods", k=2, nu=20.0)
     model, report = train_primal(x, hyper, seed=0)
-    print(f"converged={report.converged} after {report.iterations} iterations")
+    print(f"converged={report.converged} after {report.iterations} iterations "
+          f"(stop: {report.stop_reason})")
 
     fr = model.frames
     print("\nlower frame (columns are hyperplane normals):")

@@ -132,6 +132,7 @@ def cmd_train(args) -> int:
         "feature_dim": int(x.shape[1]),
         "iterations": report.iterations,
         "converged": report.converged,
+        "stop_reason": report.stop_reason,
         "wall_time": report.wall_time,
         "objective_trace": report.objective_trace,
         "grad_norm_trace": report.grad_norm_trace,
@@ -141,7 +142,8 @@ def cmd_train(args) -> int:
     report_path.write_text(json.dumps(report_doc, indent=1) + "\n")
     print(
         f"trained {args.variant} on {x.shape[0]} rows: "
-        f"{report.iterations} iterations, converged={report.converged}, "
+        f"{report.iterations} iterations, converged={report.converged} "
+        f"(stop: {report.stop_reason}), "
         f"final objective {report.objective_trace[-1]:.6g} -> {args.out}"
     )
     return 0

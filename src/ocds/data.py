@@ -186,10 +186,14 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
 
 
 def _training_rows(x) -> np.ndarray:
-    """A model's training matrix as float64, checked nonempty 2-D and finite."""
+    """A model's training matrix as float64, checked 2-D with at least one
+    row and one feature column, and finite."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise DataError(f"training data must be a nonempty 2-D array, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
+        raise DataError(
+            f"training data must be a 2-D array with at least one row and one "
+            f"feature column, got shape {x.shape}"
+        )
     if not np.isfinite(x).all():
         raise DataError("training data contains non-finite values")
     return x

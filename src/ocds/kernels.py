@@ -1,7 +1,9 @@
 """Kernel functions and Gram-matrix utilities.
 
-Gram matrices are assembled row by row through the same elementwise code
-path as single evaluations, so gram(spec, X, Y)[i, j] and
+Gram matrices are filled in row blocks of about 2**15 entries (256 KB),
+against a feature-major copy of the other operand, so every arithmetic
+pass runs over a cache-resident block. Single evaluations run the same
+block code on a 1 x 1 block, so gram(spec, X, Y)[i, j] and
 kernel_eval(spec, X[i], Y[j]) agree bit for bit.
 """
 from __future__ import annotations
@@ -46,24 +48,45 @@ class KernelSpec:
                 raise DomainError(f"polynomial offset must be finite and >= 0, got {self.offset}")
 
 
-def _rows(spec: KernelSpec, x: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """k(x, row) for every row of block; reductions stay elementwise so the
-    result is identical whether block holds one row or many."""
-    if spec.family == "linear":
-        return (block * x).sum(axis=1)
-    if spec.family == "rbf":
-        diff = block - x
-        return np.exp((diff * diff).sum(axis=1) / (-2.0 * spec.sigma * spec.sigma))
-    if spec.family == "polynomial":
-        return ((block * x).sum(axis=1) + spec.offset) ** spec.degree
-    if spec.family == "chi2":
-        num = 2.0 * x * block
-        den = x + block
-        # 0/0 slots contribute 0 by convention.
-        terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-        return terms.sum(axis=1)
-    # histogram intersection
-    return np.minimum(block, x).sum(axis=1)
+# Entries of the Gram that gram() fills per block: 2**15 float64 values
+# (256 KB) per block and per scratch block stay in cache; measured fastest
+# on 600 x 20000 and 2000 x 2000 rbf Grams.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _rows(spec: KernelSpec, xb: np.ndarray, yt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = k(xb[i], yt[:, j]) for a block of rows xb (b, d) and a
+    feature-major operand yt (d, m); returns out (b, m).
+
+    The per-feature terms are added to zero one feature at a time, in index
+    order. That is the order numpy's sum(axis=1) takes below 8 terms, and a
+    value never depends on how many rows or columns the block holds.
+    """
+    fam = spec.family
+    out.fill(0.0)
+    term = np.empty_like(out)
+    for f in range(yt.shape[0]):
+        a, b = xb[:, f:f + 1], yt[f]
+        if fam == "rbf":
+            np.subtract(b, a, out=term)
+            term *= term
+        elif fam == "chi2":
+            num = 2.0 * a * b
+            den = a + b
+            # 0/0 slots contribute 0 by convention.
+            term.fill(0.0)
+            np.divide(num, den, out=term, where=den > 0.0)
+        elif fam == "histogram":  # histogram intersection
+            np.minimum(b, a, out=term)
+        else:  # linear and polynomial
+            np.multiply(b, a, out=term)
+        out += term
+    if fam == "rbf":
+        out /= -2.0 * spec.sigma * spec.sigma
+        np.exp(out, out=out)
+    elif fam == "polynomial":
+        out[...] = (out + spec.offset) ** spec.degree
+    return out
 
 
 def _check_domain(spec: KernelSpec, arr: np.ndarray, what: str) -> None:
@@ -81,9 +104,11 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
         raise DimensionError(
             f"kernel_eval expects equal-length 1-D vectors, got {x.shape} and {y.shape}"
         )
+    if x.shape[0] == 0:
+        raise DimensionError("kernel_eval needs at least one feature")
     _check_domain(spec, x, "x")
     _check_domain(spec, y, "y")
-    return float(_rows(spec, x, y[None, :])[0])
+    return float(_rows(spec, x[None, :], y[:, None], np.empty((1, 1)))[0, 0])
 
 
 def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
@@ -96,12 +121,17 @@ def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None) -> np.nda
         raise DimensionError(
             f"gram operands must share the feature dimension, got {x.shape} and {y.shape}"
         )
+    if x.shape[1] == 0:
+        raise DimensionError("gram needs at least one feature")
     _check_domain(spec, x, "x")
     if y is not x:
         _check_domain(spec, y, "y")
-    out = np.empty((x.shape[0], y.shape[0]), dtype=np.float64)
-    for i in range(x.shape[0]):
-        out[i] = _rows(spec, x[i], y)
+    n, m = x.shape[0], y.shape[0]
+    out = np.empty((n, m), dtype=np.float64)
+    yt = np.ascontiguousarray(y.T)
+    step = max(1, _BLOCK_ELEMENTS // max(m, 1))
+    for i in range(0, n, step):
+        _rows(spec, x[i:i + step], yt, out[i:i + step])
     return out
 
 

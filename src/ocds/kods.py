@@ -40,6 +40,10 @@ __all__ = [
     "kods_feasibility",
 ]
 
+# Query rows scored per cross-Gram in kods_scores_batch: a 600-row support
+# set then takes a 9.8 MB Gram per chunk instead of 96 MB for 20000 rows.
+_SCORE_CHUNK = 2048
+
 
 @dataclass
 class KodsHyper:
@@ -222,7 +226,12 @@ def kods_scores(model: KodsModel, x: np.ndarray) -> tuple[float, float]:
 
 def kods_scores_batch(model: KodsModel, x: np.ndarray):
     """Vectorized (s1, s2) arrays over the rows of x, via kernel
-    evaluations against the support set."""
+    evaluations against the support set.
+
+    Rows are scored in chunks of _SCORE_CHUNK: each chunk takes one
+    n_support x chunk cross-Gram, so the n_support x m one is never held
+    whole. A row's scores do not depend on the chunk it falls in.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.support.shape[1]:
         raise DimensionError(
@@ -230,11 +239,16 @@ def kods_scores_batch(model: KodsModel, x: np.ndarray):
         )
     if model.normalization:
         x = l2_normalize(x)
-    kxt = gram(model.kernel, model.support, x)  # (n_support, m)
     z2 = model.duals.z * model.duals.z
     y2 = model.duals.y * model.duals.y
-    s1 = (z2 @ kxt + model.b1[:, None]).min(axis=0)
-    s2 = (-(y2 @ kxt) + model.b2[:, None]).max(axis=0)
+    s1 = np.empty(x.shape[0])
+    s2 = np.empty(x.shape[0])
+    for i in range(0, x.shape[0], _SCORE_CHUNK):
+        rows = slice(i, i + _SCORE_CHUNK)
+        kxt = gram(model.kernel, model.support, x[rows])  # (n_support, chunk)
+        s1[rows] = (z2 @ kxt + model.b1[:, None]).min(axis=0)
+        s2[rows] = (-(y2 @ kxt) + model.b2[:, None]).max(axis=0)
+        del kxt  # free it before the next chunk's Gram is built
     return s1, s2
 
 

@@ -74,6 +74,10 @@ class SolveReport:
     converged: bool = False
     wall_time: float = 0.0
     step_trace: list[float] = field(default_factory=list)
+    # Why the run ended: "grad_tol" (the gradient norm reached grad_tol),
+    # "max_iters" (the iteration budget ran out) or "stall" (no descent
+    # step was found from the last iterate).
+    stop_reason: str = ""
 
 
 def _line_search(obj, manifold, point, direction, f0, slope, step):
@@ -127,8 +131,9 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
     Returns (point, SolveReport). Each line search starts at min(1, 2 x the
     previous accepted step), the first at 1. A stalled line search is a
     reported condition, not an exception: the best iterate found so far
-    comes back with converged=False. Non-finite cost or gradient values at
-    an accepted iterate raise NumericError naming the iterate.
+    comes back with converged=False and stop_reason "stall". Non-finite
+    cost or gradient values at an accepted iterate raise NumericError
+    naming the iterate.
     """
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
@@ -148,6 +153,7 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
     gtrace = [gnorm]
     iterations = 0
     converged = gnorm <= cfg.grad_tol
+    stop_reason = "grad_tol" if converged else "max_iters"
     steps: list[float] = []
     direction = None  # no conjugate direction: the next step is steepest descent
 
@@ -155,7 +161,8 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
         start_step = min(1.0, 2.0 * steps[-1]) if steps else 1.0
         hit = _descend(obj, manifold, point, f, egrad, grad, direction, start_step)
         if hit is None:
-            break  # stall: report what we have
+            stop_reason = "stall"  # report what we have
+            break
 
         prev_point, prev_grad, prev_gnorm = point, grad, gnorm
         point, f, direction, step = hit
@@ -172,6 +179,7 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
 
         if gnorm <= cfg.grad_tol:
             converged = True
+            stop_reason = "grad_tol"
             break
 
         denom = prev_gnorm * prev_gnorm
@@ -187,7 +195,7 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
     return point, SolveReport(iterations=iterations, objective_trace=trace,
                               grad_norm_trace=gtrace, converged=converged,
                               wall_time=time.perf_counter() - start,
-                              step_trace=steps)
+                              step_trace=steps, stop_reason=stop_reason)
 
 
 def fd_gradient_check(obj: Objective, point) -> float:

@@ -114,6 +114,13 @@ def test_train_report_holds_the_accepted_steps(workdir):
     assert "step_trace" not in (workdir / "gods.json").read_text()
 
 
+def test_train_report_says_why_the_fit_stopped(workdir):
+    report = json.loads((workdir / "gods.json.report.json").read_text())
+    assert report["stop_reason"] in ("grad_tol", "max_iters", "stall")
+    assert report["converged"] == (report["stop_reason"] == "grad_tol")
+    assert "stop_reason" not in (workdir / "gods.json").read_text()
+
+
 # ---------------------------------------------------------------------------
 # predict
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import ocds.kernels
 from ocds.errors import ConditioningError, DimensionError, DomainError
 from ocds.kernels import FAMILIES, KernelSpec, ensure_pd, gram, kernel_eval
 
@@ -171,6 +172,77 @@ def test_gram_rejects_bad_shapes():
         gram(KernelSpec(), np.zeros(3))
     with pytest.raises(DimensionError):
         gram(KernelSpec(), np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_zero_width_features_are_a_dimension_error(family):
+    spec = KernelSpec(family=family)
+    with pytest.raises(DimensionError):
+        gram(spec, np.zeros((3, 0)))
+    with pytest.raises(DimensionError):
+        gram(spec, np.zeros((3, 0)), np.zeros((2, 0)))
+    with pytest.raises(DimensionError):
+        kernel_eval(spec, np.zeros(0), np.zeros(0))
+
+
+# ---------------------------------------------------------------------------
+# blocked evaluation
+#
+# gram fills its output in blocks of rows under ocds.kernels._BLOCK_ELEMENTS.
+# Against 2**13 + 3 columns a block holds 3 rows, so 7 rows end in a
+# partial block of 1.
+
+_WIDE = (1 << 13) + 3
+
+
+def _wide_operands(family, d, seed=0):
+    nonneg = _needs_nonneg(family)
+    x = _features(seed, n=7, d=d, nonneg=nonneg)
+    y = _features(seed + 1, n=_WIDE, d=d, nonneg=nonneg)
+    # scale so rbf values stay well above the underflow range
+    return x / np.sqrt(d), y / np.sqrt(d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 60])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_blocked_gram_matches_single_evaluations_bitwise(family, d):
+    spec = KernelSpec(family=family, sigma=0.8)
+    x, y = _wide_operands(family, d)
+    assert ocds.kernels._BLOCK_ELEMENTS // _WIDE == 3
+    g = gram(spec, x, y)
+    cols = np.r_[0, 1, np.random.default_rng(d).choice(_WIDE, 30), _WIDE - 2, _WIDE - 1]
+    for i in range(x.shape[0]):
+        for j in cols:
+            assert g[i, j] == kernel_eval(spec, x[i], y[j])
+
+
+@pytest.mark.parametrize("d", [2, 9])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gram_values_do_not_depend_on_the_block_size(family, d, monkeypatch):
+    spec = KernelSpec(family=family, sigma=0.8)
+    x, y = _wide_operands(family, d, seed=3)
+    y = y[:500]
+    want = gram(spec, x, y)
+    for budget in (1, 1000, 1 << 20):
+        monkeypatch.setattr(ocds.kernels, "_BLOCK_ELEMENTS", budget)
+        assert gram(spec, x, y).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_gram_below_8_features_equals_a_row_by_row_sum(d):
+    # below 8 terms numpy's sum(axis=1) adds in index order, as the
+    # feature-major loop does, so the values are those of a row-by-row sum
+    sigma = 0.8
+    x, y = _wide_operands("rbf", d, seed=5)
+    y = y[:3000]
+    want = np.empty((x.shape[0], y.shape[0]))
+    lin = np.empty_like(want)
+    for i in range(x.shape[0]):
+        diff = y - x[i]
+        want[i] = np.exp((diff * diff).sum(axis=1) / (-2.0 * sigma * sigma))
+        lin[i] = (y * x[i]).sum(axis=1)
+    assert gram(KernelSpec(family="rbf", sigma=sigma), x, y).tobytes() == want.tobytes()
+    assert gram(KernelSpec(family="linear"), x, y).tobytes() == lin.tobytes()
 
 
 # ---------------------------------------------------------------------------

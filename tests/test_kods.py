@@ -1,9 +1,11 @@
 """Kernelized dual model: objective, gradients, recovery, training, scoring."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ocds.kods
 from ocds.errors import ConditioningError, DataError, DimensionError, DomainError
 from ocds.kernels import KernelSpec, gram
 from ocds.kods import (
@@ -216,6 +218,12 @@ def test_training_validation_errors():
         kods_train(np.zeros((2, 2)), kernel, KodsHyper(k=3), seed=0)
 
 
+def test_training_rejects_zero_feature_columns():
+    # a zero-width Gram would be all ones and fit a constant model
+    with pytest.raises(DataError):
+        kods_train(np.zeros((5, 0)), KernelSpec(), KodsHyper(k=1))
+
+
 def test_training_propagates_gram_conditioning_failures():
     x = np.zeros((3, 2))
     with pytest.raises(ConditioningError):
@@ -266,6 +274,46 @@ def test_batch_scores_match_a_scalar_loop():
         s1, s2 = kods_scores(model, x[i])
         assert abs(s1 - s1b[i]) <= 1e-12
         assert abs(s2 - s2b[i]) <= 1e-12
+
+
+def _random_model(n_support, k=1, seed=0):
+    rng = np.random.default_rng(seed)
+    return KodsModel(
+        duals=DualVars(y=rng.standard_normal((k, n_support)) / n_support,
+                       z=rng.standard_normal((k, n_support)) / n_support),
+        kernel=KernelSpec(family="rbf", sigma=0.06),
+        support=rng.uniform(-1.0, 1.0, (n_support, 2)),
+        b1=rng.standard_normal(k),
+        b2=rng.standard_normal(k),
+        eta_effective=0.3,
+        jitter=0.0,
+        normalization=False,
+        hyper=KodsHyper(k=k, normalize=False),
+    )
+
+
+def test_batch_scores_are_the_scores_of_each_chunk():
+    chunk = ocds.kods._SCORE_CHUNK
+    model = _random_model(40, k=2)
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, (2 * chunk + 5, 2))
+    s1, s2 = kods_scores_batch(model, x)
+    for i in range(0, x.shape[0], chunk):
+        c1, c2 = kods_scores_batch(model, x[i:i + chunk])
+        assert s1[i:i + chunk].tobytes() == c1.tobytes()
+        assert s2[i:i + chunk].tobytes() == c2.tobytes()
+
+
+def test_batch_scoring_never_holds_the_whole_cross_gram():
+    model = _random_model(600)
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, (20000, 2))
+    full_gram = 600 * 20000 * 8  # 96 MB
+    tracemalloc.start()
+    try:
+        kods_scores_batch(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_gram / 2
 
 
 def test_scores_normalize_when_the_model_did():

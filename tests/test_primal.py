@@ -370,6 +370,8 @@ def test_training_rejects_bad_data():
         train_primal(np.zeros((0, 3)), GodsHyper())
     with pytest.raises(DataError):
         train_primal(np.array([[1.0, np.nan]]), GodsHyper())
+    with pytest.raises(DataError):
+        train_primal(np.zeros((5, 0)), GodsHyper(k=1))
 
 
 def test_gods_e_soft_orthogonality_tightens_with_lambda():

@@ -243,6 +243,25 @@ def test_iteration_budget_is_respected():
     assert not report.converged
 
 
+def test_stop_reason_grad_tol_on_a_converging_quadratic():
+    man = Euclidean(3)
+    obj = Objective(cost=lambda x: float(x @ x), egrad=lambda x: 2.0 * x)
+    _, report = minimize(obj, man, np.array([1.0, -2.0, 3.0]))
+    assert report.converged and report.iterations > 0
+    assert report.stop_reason == "grad_tol"
+    _, report = minimize(obj, man, np.zeros(3))
+    assert report.iterations == 0 and report.stop_reason == "grad_tol"
+
+
+def test_stop_reason_max_iters_when_the_budget_runs_out():
+    _, obj = _rayleigh_problem(seed=5)
+    man = Sphere(5)
+    for cap in (0, 3):
+        _, report = minimize(obj, man, man.random_point(8), SolverConfig(max_iters=cap))
+        assert report.iterations == cap and not report.converged
+        assert report.stop_reason == "max_iters"
+
+
 # ---------------------------------------------------------------------------
 # stall and failure handling
 
@@ -261,6 +280,7 @@ def test_line_search_stall_reports_no_convergence():
     init = np.array([2.0])
     point, report = minimize(obj, man, init)
     assert not report.converged
+    assert report.stop_reason == "stall"
     assert report.iterations == 0
     assert report.objective_trace == [5.0]
     np.testing.assert_array_equal(point, init)
