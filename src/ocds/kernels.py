@@ -135,13 +135,13 @@ def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None) -> np.nda
     return out
 
 
-def ensure_pd(k: np.ndarray, jitter: float | None = None):
+def ensure_pd(k: np.ndarray):
     """Return (k_pd, eps): the matrix with the smallest diagonal jitter eps
-    from {0, jitter, 10*jitter, ...} that admits a Cholesky factorization.
+    from {0, j, 10*j, ...} that admits a Cholesky factorization, where
+    j = 1e-10 * trace(k) / n (1e-10 when the trace is not positive).
 
-    jitter defaults to 1e-10 * trace(k) / n. Escalation stops once eps
-    would exceed 1e-2 * trace(k) / n; at that point the matrix is declared
-    irreparably ill-conditioned.
+    Escalation stops once eps would exceed 1e-2 * trace(k) / n; at that
+    point the matrix is declared irreparably ill-conditioned.
     """
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -153,10 +153,9 @@ def ensure_pd(k: np.ndarray, jitter: float | None = None):
     ksym = (k + k.T) / 2.0  # bitwise no-op when k is already exactly symmetric
 
     mean_diag = float(np.trace(ksym)) / n
-    if jitter is None:
-        jitter = 1e-10 * mean_diag
+    jitter = 1e-10 * mean_diag
     if jitter <= 0.0:
-        jitter = 1e-10 * max(mean_diag, 1.0)
+        jitter = 1e-10
     ceiling = 1e-2 * max(mean_diag, 0.0)
 
     eps = 0.0

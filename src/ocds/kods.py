@@ -16,6 +16,7 @@ evaluations against the support set.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,8 @@ class KodsHyper:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+            raise DomainError(f"k must be an integer >= 1, got {self.k!r}")
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise DomainError(f"eta must be positive and finite, got {self.eta}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):

@@ -2,10 +2,13 @@
 
 A point on a simple manifold is a numpy array; a point on a composite
 manifold (Product, NonCompactStiefel) is a tuple whose entries are the
-factor points. Tangent vectors mirror the point structure exactly. All
-operations are pure: arguments are never mutated, and a zero tangent
-retracts to the identical point object so repeated zero-steps stay
-bit-stable.
+factor points. Every training path builds one flat Product of simple
+factors, so no trained point nests a tuple; NonCompactStiefel stays
+public but no training path uses it. Tangent vectors mirror the point
+structure exactly, and a point's ambient dimension is the total size of
+its arrays. All operations are pure: arguments are never mutated, and a
+zero tangent retracts to the identical point object so repeated
+zero-steps stay bit-stable.
 
 Every manifold supports six operations: project_tangent, egrad_to_rgrad,
 retract, transport (projection to the destination tangent space), inner
@@ -134,10 +137,6 @@ class Manifold:
 
     name: str = "manifold"
 
-    @property
-    def ambient_dimension(self) -> int:
-        raise NotImplementedError
-
     def project_tangent(self, point, ambient):
         raise NotImplementedError
 
@@ -189,10 +188,6 @@ class Euclidean(Manifold):
             raise DimensionError(f"Euclidean shape must be positive, got {self.shape}")
         self.name = f"Euclidean{self.shape}"
 
-    @property
-    def ambient_dimension(self) -> int:
-        return int(np.prod(self.shape))
-
     def project_tangent(self, point, ambient):
         return self._expect(ambient, self.shape, "ambient vector")
 
@@ -219,10 +214,6 @@ class Sphere(Manifold):
             raise DimensionError(f"Sphere needs d >= 1, got {d}")
         self.d = int(d)
         self.name = f"Sphere({d})"
-
-    @property
-    def ambient_dimension(self) -> int:
-        return self.d
 
     def project_tangent(self, point, ambient):
         a = self._expect(ambient, (self.d,), "ambient vector")
@@ -257,10 +248,6 @@ class Stiefel(Manifold):
         self.d, self.k = int(d), int(k)
         self.name = f"Stiefel({d},{k})"
 
-    @property
-    def ambient_dimension(self) -> int:
-        return self.d * self.k
-
     def project_tangent(self, point, ambient):
         a = self._expect(ambient, (self.d, self.k), "ambient matrix")
         return a - point @ _sym(point.T @ a)
@@ -292,10 +279,6 @@ class Oblique(Manifold):
             raise DimensionError(f"Oblique needs d, K >= 1, got d={d}, K={k}")
         self.d, self.k = int(d), int(k)
         self.name = f"Oblique({d},{k})"
-
-    @property
-    def ambient_dimension(self) -> int:
-        return self.d * self.k
 
     def project_tangent(self, point, ambient):
         a = self._expect(ambient, (self.d, self.k), "ambient matrix")
@@ -332,10 +315,6 @@ class PositiveVector(Manifold):
         self.k = int(k)
         self.name = f"PositiveVector({k})"
 
-    @property
-    def ambient_dimension(self) -> int:
-        return self.k
-
     def project_tangent(self, point, ambient):
         return self._expect(ambient, (self.k,), "ambient vector")
 
@@ -367,10 +346,6 @@ class Product(Manifold):
             raise DimensionError("Product needs at least one factor")
         self.factors = tuple(factors)
         self.name = "Product(" + ", ".join(f.name for f in self.factors) + ")"
-
-    @property
-    def ambient_dimension(self) -> int:
-        return sum(f.ambient_dimension for f in self.factors)
 
     def _check(self, tup, what: str):
         if not isinstance(tup, tuple) or len(tup) != len(self.factors):
@@ -453,10 +428,6 @@ class GeneralizedStiefel(Manifold):
         except np.linalg.LinAlgError as exc:
             raise PositiveDefiniteError("gram matrix is not positive definite") from exc
         self.name = f"GeneralizedStiefel({n},{k})"
-
-    @property
-    def ambient_dimension(self) -> int:
-        return self.n * self.k
 
     def _apply_gram_inverse(self, m: np.ndarray) -> np.ndarray:
         # Right-multiplication by gram^{-1}: rows of m are solved against

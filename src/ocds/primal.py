@@ -21,6 +21,7 @@ the extreme responses past the margins; see the objective functions.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -32,8 +33,8 @@ from .errors import DataError, DimensionError, DomainError, NumericError
 from .manifolds import (
     Euclidean,
     Manifold,
-    NonCompactStiefel,
     Oblique,
+    PositiveVector,
     Product,
     Sphere,
     Stiefel,
@@ -77,10 +78,10 @@ class GodsHyper:
         if v not in VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         self.variant = v
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+            raise DomainError(f"k must be an integer >= 1, got {self.k!r}")
         if v == "bods" and self.k != 1:
             raise DomainError(f"bods uses a single hyperplane pair; k must be 1, got {self.k}")
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise DomainError(f"eta must be positive and finite, got {self.eta}")
         if not (math.isfinite(self.nu) and self.nu > 0.0):
@@ -355,47 +356,37 @@ class PrimalProblem:
 
 
 def _primal_geometry(d: int, hyper: GodsHyper):
-    """(manifold, pack, unpack) of the variant's frames in dimension d."""
-    k = hyper.k
-    variant = hyper.variant
+    """(manifold, pack, unpack) of the variant's frames in dimension d.
 
+    A packed point is a flat tuple: bods packs its columns as unit vectors,
+    every other variant packs the FramePair fields in `names`, in order.
+    pack does not copy: neither the manifolds nor the solver mutate a point.
+    """
+    k, variant = hyper.k, hyper.variant
     if variant == "bods":
         manifold = Product(Sphere(d), Euclidean(1), Sphere(d), Euclidean(1))
 
         def pack(fr: FramePair):
-            return (fr.w1[:, 0].copy(), fr.b1.copy(), fr.w2[:, 0].copy(), fr.b2.copy())
+            return (fr.w1[:, 0], fr.b1, fr.w2[:, 0], fr.b2)
 
         def unpack(pt) -> FramePair:
             return FramePair(w1=pt[0][:, None], b1=pt[1], w2=pt[2][:, None], b2=pt[3])
 
-    elif variant == "gods_n":
-        manifold = Product(
-            NonCompactStiefel(d, k), Euclidean(k), NonCompactStiefel(d, k), Euclidean(k)
-        )
+        return manifold, pack, unpack
 
-        def pack(fr: FramePair):
-            return ((fr.w1.copy(), fr.r1.copy()), fr.b1.copy(),
-                    (fr.w2.copy(), fr.r2.copy()), fr.b2.copy())
+    frame = {"gods": Stiefel, "gods_n": Stiefel, "gods_o": Oblique,
+             "gods_e": Euclidean}[variant](d, k)
+    names = ("w1", "b1", "w2", "b2")
+    if variant == "gods_n":
+        names = ("w1", "r1", "b1", "w2", "r2", "b2")
+    factor = {"w": frame, "r": PositiveVector(k), "b": Euclidean(k)}  # by field letter
+    manifold = Product(*(factor[name[0]] for name in names))
 
-        def unpack(pt) -> FramePair:
-            return FramePair(
-                w1=pt[0][0], r1=pt[0][1], b1=pt[1],
-                w2=pt[2][0], r2=pt[2][1], b2=pt[3],
-            )
+    def pack(fr: FramePair):
+        return tuple(getattr(fr, name) for name in names)
 
-    else:
-        frame_manifold = {
-            "gods": lambda: Stiefel(d, k),
-            "gods_o": lambda: Oblique(d, k),
-            "gods_e": lambda: Euclidean(d, k),
-        }[variant]
-        manifold = Product(frame_manifold(), Euclidean(k), frame_manifold(), Euclidean(k))
-
-        def pack(fr: FramePair):
-            return (fr.w1.copy(), fr.b1.copy(), fr.w2.copy(), fr.b2.copy())
-
-        def unpack(pt) -> FramePair:
-            return FramePair(w1=pt[0], b1=pt[1], w2=pt[2], b2=pt[3])
+    def unpack(pt) -> FramePair:
+        return FramePair(**dict(zip(names, pt)))
 
     return manifold, pack, unpack
 

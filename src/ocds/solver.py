@@ -5,7 +5,8 @@ directions live in the tangent space at the current iterate; the previous
 direction and gradient are carried to the new iterate by projection
 transport. Step acceptance uses the Armijo sufficient-decrease test, so
 the objective trace is non-increasing by construction. Directions follow
-the nonnegative Polak-Ribiere (PR+) rule, restarted every ambient dimension.
+the nonnegative Polak-Ribiere (PR+) rule, restarted every ambient dimension
+(the total size of the start point's arrays).
 
 The search remembers its step size: each Armijo search starts at
 min(1, 2 x the last accepted step) rather than at 1, so a run whose
@@ -68,16 +69,22 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    iterations: int
     objective_trace: list[float] = field(default_factory=list)
     grad_norm_trace: list[float] = field(default_factory=list)
-    converged: bool = False
     wall_time: float = 0.0
     step_trace: list[float] = field(default_factory=list)
     # Why the run ended: "grad_tol" (the gradient norm reached grad_tol),
     # "max_iters" (the iteration budget ran out) or "stall" (no descent
     # step was found from the last iterate).
     stop_reason: str = ""
+
+    @property
+    def iterations(self) -> int:
+        return len(self.step_trace)  # each iteration accepts one step
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "grad_tol"
 
 
 def _line_search(obj, manifold, point, direction, f0, slope, step):
@@ -137,7 +144,7 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
     """
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
-    restart_every = manifold.ambient_dimension
+    restart_every = sum(leaf.size for leaf in tree_leaves(init))
 
     point = init
     f = float(obj.cost(point))
@@ -151,13 +158,11 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
 
     trace = [f]
     gtrace = [gnorm]
-    iterations = 0
-    converged = gnorm <= cfg.grad_tol
-    stop_reason = "grad_tol" if converged else "max_iters"
     steps: list[float] = []
+    stop_reason = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
     direction = None  # no conjugate direction: the next step is steepest descent
 
-    while not converged and iterations < cfg.max_iters:
+    while stop_reason == "max_iters" and len(steps) < cfg.max_iters:
         start_step = min(1.0, 2.0 * steps[-1]) if steps else 1.0
         hit = _descend(obj, manifold, point, f, egrad, grad, direction, start_step)
         if hit is None:
@@ -167,23 +172,21 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
         prev_point, prev_grad, prev_gnorm = point, grad, gnorm
         point, f, direction, step = hit
         steps.append(step)
-        iterations += 1
 
         egrad = obj.egrad(point)
         if not tree_all_finite(egrad):
-            raise NumericError(f"gradient is not finite at iterate {iterations}")
+            raise NumericError(f"gradient is not finite at iterate {len(steps)}")
         grad = manifold.egrad_to_rgrad(point, egrad)
         gnorm = manifold.norm(point, grad)
         trace.append(f)
         gtrace.append(gnorm)
 
         if gnorm <= cfg.grad_tol:
-            converged = True
             stop_reason = "grad_tol"
             break
 
         denom = prev_gnorm * prev_gnorm
-        if iterations % restart_every == 0 or denom <= 0.0:
+        if len(steps) % restart_every == 0 or denom <= 0.0:
             direction = None
             continue
         carried_grad = manifold.transport(prev_point, point, prev_grad)
@@ -192,8 +195,7 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
         carried_dir = manifold.transport(prev_point, point, direction)
         direction = tree_axpy(tree_scale(grad, -1.0), beta, carried_dir)
 
-    return point, SolveReport(iterations=iterations, objective_trace=trace,
-                              grad_norm_trace=gtrace, converged=converged,
+    return point, SolveReport(objective_trace=trace, grad_norm_trace=gtrace,
                               wall_time=time.perf_counter() - start,
                               step_trace=steps, stop_reason=stop_reason)
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ocds.primal
 from ocds.cli import _best_f1, main
 from ocds.data import load_csv, synth
 from ocds.inference import anomaly_score, compute_metrics
@@ -196,6 +197,18 @@ def test_eval_perfect_separation_reports_unit_f1(tmp_path, capsys):
     assert doc["confusion"] == {"tp": 3, "fp": 0, "tn": 2, "fn": 0}
 
 
+def test_eval_report_key_order(tmp_path, capsys):
+    model_path, csv = _write_separable(tmp_path)
+    rc = main(["eval", "--model", str(model_path), "--data", str(csv),
+               "--label-column", "2", "--target", "pos"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["n", "n_in_class", "n_anomalous", "threshold", "accuracy",
+                         "f1", "f1bar", "tnr", "npv", "far", "auc", "confusion"]
+    assert list(doc["confusion"]) == ["tp", "fp", "tn", "fn"]
+    assert (doc["n"], doc["n_in_class"], doc["n_anomalous"], doc["threshold"]) == (5, 3, 2, 0.3)
+
+
 def test_eval_writes_roc_points(tmp_path):
     model_path, csv = _write_separable(tmp_path)
     roc = tmp_path / "roc.csv"
@@ -321,12 +334,28 @@ def test_gradcheck_passes_all_objectives(capsys):
     assert out.count("PASS") == 6
 
 
-def test_gradcheck_corrupted_gradient_exits_2(capsys):
-    rc = main(["gradcheck", "--seed", "0", "--corrupt", "gods"])
+def test_gradcheck_corrupted_gradient_exits_2(capsys, monkeypatch):
+    exact = ocds.primal.gods_egrad
+
+    def corrupted(frames, x, hyper):
+        g = exact(frames, x, hyper)
+        if hyper.variant == "gods":
+            g.w1 = g.w1.copy()
+            g.w1.flat[0] += 1e-3
+        return g
+
+    monkeypatch.setattr(ocds.primal, "gods_egrad", corrupted)
+    rc = main(["gradcheck", "--seed", "0"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert "FAIL" in captured.out
+    verdicts = {line.split()[0]: line.split()[-1] for line in captured.out.splitlines()}
+    assert verdicts["gods"] == "FAIL"
+    assert [v for name, v in verdicts.items() if name != "gods"] == ["PASS"] * 5
     assert "gradient check FAILED" in captured.err
+
+
+def test_gradcheck_has_no_corrupt_flag():
+    assert main(["gradcheck", "--corrupt", "gods"]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -265,13 +265,12 @@ def test_ensure_pd_repairs_a_singular_matrix_with_one_jitter_step():
 
 
 def test_ensure_pd_escalates_jitter_by_powers_of_ten():
-    # smallest eigenvalue is -1e-8, so a 1e-14 jitter has to climb the
-    # ladder several decades before Cholesky succeeds
-    c = 1.0 + 1e-8
-    k = np.array([[1.0, c], [c, 1.0]])  # eigenvalues {2 + 1e-8, -1e-8}
-    out, eps = ensure_pd(k, jitter=1e-14)
-    assert 1e-9 < eps < 1e-6
-    assert abs(np.log10(eps / 1e-14) - round(np.log10(eps / 1e-14))) <= 1e-9
+    # mean diagonal 4 puts the ladder at 4e-10, 4e-9, 4e-8, 4e-7; the
+    # smallest eigenvalue is -1.2e-7, so the fourth rung is the first to pass
+    c = 1.0 + 3e-8
+    k = 4.0 * np.array([[1.0, c], [c, 1.0]])  # eigenvalues {8 + 1.2e-7, -1.2e-7}
+    out, eps = ensure_pd(k)
+    assert abs(np.log10(eps / 4e-10) - 3.0) <= 1e-9
     np.linalg.cholesky(out)
 
 
@@ -300,9 +299,3 @@ def test_ensure_pd_symmetrizes_roundoff_asymmetry():
     out, eps = ensure_pd(k)
     np.testing.assert_array_equal(out, out.T)
     assert eps == 0.0
-
-
-def test_ensure_pd_honors_an_explicit_jitter():
-    k = np.ones((2, 2))
-    out, eps = ensure_pd(k, jitter=1e-6)
-    assert eps == 1e-6

@@ -472,10 +472,3 @@ def test_gram_residual_is_the_generalized_stiefel_feasibility():
     u = np.random.default_rng(8).standard_normal((2, 6))
     assert _gram_residual(u, gram) == man.feasibility(u)
     assert _gram_residual(man.random_point(9), gram) <= FEAS_TOL
-
-
-def test_ambient_dimensions():
-    assert Stiefel(5, 2).ambient_dimension == 10
-    assert NonCompactStiefel(5, 2).ambient_dimension == 12
-    assert Product(Sphere(3), Euclidean(2, 2)).ambient_dimension == 7
-    assert GeneralizedStiefel(6, 2, np.eye(6)).ambient_dimension == 12

@@ -7,6 +7,7 @@ import pytest
 from ocds.data import synth
 from ocds.errors import DataError, DimensionError, DomainError, NumericError
 from ocds.inference import classify
+from ocds.manifolds import Euclidean, NonCompactStiefel, Product
 from ocds.primal import (
     VARIANTS,
     FramePair,
@@ -75,6 +76,10 @@ def _model(variant, w1, b1, w2, b2, r1=None, r2=None, k=None, normalize=False):
         {"p_norm": float("inf")},
         {"variant": 5},
         {"variant": None},
+        {"k": 2.5},
+        {"k": "2"},
+        {"k": None},
+        {"variant": "bods", "k": 1.0},
     ],
 )
 def test_hyper_rejects_bad_values(kwargs):
@@ -248,6 +253,40 @@ def test_bods_egrad_matches_finite_differences_at_biased_frames():
     assert fd_gradient_check(problem.objective, problem.pack(frames)) <= 1e-5
     g = bods_egrad(frames, x, hyper)
     assert g.w1.shape == (3, 1) and g.b1.shape == (1,)
+
+
+# ---------------------------------------------------------------------------
+# packed points
+
+
+@pytest.mark.parametrize("variant", ["gods", "gods_n", "gods_o", "gods_e"])
+def test_packed_point_is_flat_and_round_trips_without_copies(variant):
+    x = np.random.default_rng(3).standard_normal((12, 4))
+    problem = build_primal_problem(x, GodsHyper(variant=variant, k=2, normalize=False))
+    frames = init_frames(x, 2)
+    names = ("w1", "b1", "w2", "b2")
+    if variant == "gods_n":
+        frames = replace(frames, r1=np.array([1.0, 2.0]), r2=np.array([3.0, 4.0]))
+        names = ("w1", "r1", "b1", "w2", "r2", "b2")
+    point = problem.pack(frames)
+    assert len(point) == len(names) == len(problem.manifold.factors)
+    assert all(leaf is getattr(frames, name) for leaf, name in zip(point, names))
+    back = problem.unpack(point)
+    assert all(getattr(back, name) is getattr(frames, name) for name in names)
+    grad = problem.objective.egrad(point)
+    assert all(isinstance(leaf, np.ndarray) for leaf in grad) and len(grad) == len(names)
+
+
+def test_gods_n_point_draws_like_the_nested_noncompact_stiefel_point():
+    problem = build_primal_problem(np.ones((3, 4)), GodsHyper(variant="gods_n", k=2))
+    assert [f.name for f in problem.manifold.factors] == [
+        "Stiefel(4,2)", "PositiveVector(2)", "Euclidean(2,)",
+    ] * 2
+    nested = Product(NonCompactStiefel(4, 2), Euclidean(2), NonCompactStiefel(4, 2), Euclidean(2))
+    flat = problem.manifold.random_point(5)
+    (q1, r1), b1, (q2, r2), b2 = nested.random_point(5)
+    for got, want in zip(flat, (q1, r1, b1, q2, r2, b2)):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

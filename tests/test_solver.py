@@ -9,8 +9,15 @@ import ocds.kods
 from ocds.data import synth
 from ocds.errors import DomainError, NumericError
 from ocds.kernels import KernelSpec
-from ocds.manifolds import Euclidean, Sphere, Stiefel, tree_dot
-from ocds.solver import Objective, SolverConfig, _descend, fd_gradient_check, minimize
+from ocds.manifolds import Euclidean, Product, Sphere, Stiefel, tree_dot
+from ocds.solver import (
+    Objective,
+    SolveReport,
+    SolverConfig,
+    _descend,
+    fd_gradient_check,
+    minimize,
+)
 
 
 def _rayleigh_problem(d=5, seed=0):
@@ -260,6 +267,46 @@ def test_stop_reason_max_iters_when_the_budget_runs_out():
         _, report = minimize(obj, man, man.random_point(8), SolverConfig(max_iters=cap))
         assert report.iterations == cap and not report.converged
         assert report.stop_reason == "max_iters"
+
+
+def test_report_counts_and_convergence_derive_from_the_traces():
+    report = SolveReport(step_trace=[1.0, 0.5], stop_reason="grad_tol")
+    assert report.iterations == 2 and report.converged
+    for reason in ("max_iters", "stall"):
+        report = SolveReport(step_trace=[1.0], stop_reason=reason)
+        assert report.iterations == 1 and not report.converged
+    with pytest.raises(AttributeError):
+        report.iterations = 3
+    _, obj = _rayleigh_problem(seed=5)
+    _, report = minimize(obj, Sphere(5), Sphere(5).random_point(8))
+    assert report.iterations == len(report.step_trace) == len(report.objective_trace) - 1
+    assert report.converged == (report.stop_reason == "grad_tol")
+
+
+def test_restart_period_is_the_start_points_size():
+    # A 3-vector on the sphere and a 2-vector: the period is 5. The solver
+    # takes egrad once at the start and once per iteration, so egrad calls
+    # minus one is the iteration in which a transport call happens.
+    calls = {"egrad": 0}
+    transported_in = []
+
+    class Counting(Product):
+        def transport(self, start, end, tangent):
+            transported_in.append(calls["egrad"] - 1)
+            return super().transport(start, end, tangent)
+
+    a, _ = _rayleigh_problem(d=3, seed=2)
+
+    def egrad(pt):
+        calls["egrad"] += 1
+        return (2.0 * (a @ pt[0]), 4.0 * pt[1] ** 3)
+
+    obj = Objective(cost=lambda pt: float(pt[0] @ a @ pt[0]) + float(np.sum(pt[1] ** 4)),
+                    egrad=egrad)
+    man = Counting(Sphere(3), Euclidean(2))
+    _, report = minimize(obj, man, man.random_point(1), SolverConfig(max_iters=16, grad_tol=0.0))
+    assert report.iterations == 16
+    assert set(transported_in) == {i for i in range(1, 17) if i % 5 != 0}
 
 
 # ---------------------------------------------------------------------------
