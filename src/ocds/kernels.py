@@ -141,12 +141,16 @@ def ensure_pd(k: np.ndarray):
     j = 1e-10 * trace(k) / n (1e-10 when the trace is not positive).
 
     Escalation stops once eps would exceed 1e-2 * trace(k) / n; at that
-    point the matrix is declared irreparably ill-conditioned.
+    point the matrix is declared irreparably ill-conditioned. A matrix with
+    a non-finite entry raises ConditioningError at once.
     """
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise DimensionError(f"ensure_pd expects a square matrix, got shape {k.shape}")
     n = k.shape[0]
+    if not np.isfinite(k).all():
+        # numpy's cholesky does not reject inf/NaN, so no jitter is tried
+        raise ConditioningError("ensure_pd: matrix has non-finite entries")
     scale = max(1.0, float(np.abs(k).max(initial=0.0)))
     if float(np.abs(k - k.T).max(initial=0.0)) > 1e-10 * scale:
         raise DomainError("ensure_pd expects a symmetric matrix")

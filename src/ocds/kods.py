@@ -12,6 +12,14 @@ the feasible set (it must be positive definite for the geometry to make
 sense), while the raw Gram is used to recover the intercepts so that
 stored intercepts are exactly consistent with inference-time kernel
 evaluations against the support set.
+
+Training runs on _GeneralizedStiefelPair over one GeneralizedStiefel of
+the jittered Gram: Y and Z are stacked into one 2K x n block, so each retraction,
+projection and gradient conversion reads the Gram (or its Cholesky factor)
+once for both matrices, and transports at an accepted iterate reuse the
+U @ G the retraction already formed (see GeneralizedStiefel). The
+objective closures keep no such memo: fd_gradient_check mutates its work
+point in place between calls.
 """
 from __future__ import annotations
 
@@ -24,7 +32,7 @@ import numpy as np
 from .data import _check_model, _training_rows, l2_normalize
 from .errors import DimensionError, DomainError
 from .kernels import KernelSpec, ensure_pd, gram
-from .manifolds import GeneralizedStiefel, Product, _gram_residual
+from .manifolds import GeneralizedStiefel, _GeneralizedStiefelPair, _gram_residual
 from .solver import Objective, SolveReport, SolverConfig, minimize
 
 __all__ = [
@@ -134,9 +142,11 @@ def kods_egrad(duals: DualVars, gram_mat: np.ndarray, hyper: KodsHyper) -> DualV
     row_y = y2.sum(axis=1)[:, None]
     row_z = z2.sum(axis=1)[:, None]
     lam = hyper.lam
-    dy = y * (2.0 * row_y + 2.0 * (z2 @ g) - 2.0 * hyper.eta
+    # One pass over the Gram for both weight sets.
+    z2g, y2g = np.split(np.vstack((z2, y2)) @ g, 2)
+    dy = y * (2.0 * row_y + 2.0 * z2g - 2.0 * hyper.eta
               + 2.0 * lam * (row_y - row_z))
-    dz = z * (2.0 * (y2 @ g) - 2.0 * hyper.eta - 2.0 * lam * (row_y - row_z))
+    dz = z * (2.0 * y2g - 2.0 * hyper.eta - 2.0 * lam * (row_y - row_z))
     return DualVars(y=dy, z=dz)
 
 
@@ -152,11 +162,12 @@ def recover_primal(duals: DualVars, gram_mat: np.ndarray, eta: float):
 
 
 def build_kods_problem(gram_pd: np.ndarray, hyper: KodsHyper):
-    """Product manifold over (Y, Z) plus objective closures bound to a
-    positive definite Gram matrix."""
+    """Manifold over (Y, Z) plus objective closures bound to a positive
+    definite Gram matrix. The manifold is a _GeneralizedStiefelPair: a
+    Product whose two factors are the same GeneralizedStiefel, so
+    factors[0].polar maps a K x n matrix onto either factor."""
     n = gram_pd.shape[0]
-    factor = GeneralizedStiefel(n, hyper.k, gram_pd)
-    manifold = Product(factor, factor)
+    manifold = _GeneralizedStiefelPair(GeneralizedStiefel(n, hyper.k, gram_pd))
 
     def cost(pt) -> float:
         return kods_objective(DualVars(y=pt[0], z=pt[1]), gram_pd, hyper)

@@ -8,7 +8,12 @@ public but no training path uses it. Tangent vectors mirror the point
 structure exactly, and a point's ambient dimension is the total size of
 its arrays. All operations are pure: arguments are never mutated, and a
 zero tangent retracts to the identical point object so repeated
-zero-steps stay bit-stable.
+zero-steps stay bit-stable. (GeneralizedStiefel memoizes one point's
+product with its gram, looked up by value, so results never depend on it.)
+
+KODS trains on _GeneralizedStiefelPair, a Product of one
+GeneralizedStiefel with itself whose operations stack the two frames and
+read the gram once.
 
 Every manifold supports six operations: project_tangent, egrad_to_rgrad,
 retract, transport (projection to the destination tangent space), inner
@@ -43,6 +48,10 @@ __all__ = [
     "tree_copy",
     "tree_all_finite",
 ]
+
+# Above this condition number of the K x K moment, the generalized polar map
+# takes a second, well-conditioned pass (eps * 1e4 is about 2e-12).
+_POLAR_REFINE_COND = 1e4
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +105,8 @@ def _is_zero(a) -> bool:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    # The symmetric part of a matrix, or of each matrix in a stack.
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -406,6 +416,19 @@ class GeneralizedStiefel(Manifold):
     the inverse square root of the gram-weighted second moment (the
     generalized polar map), which keeps feasibility at machine precision
     regardless of the input's drift.
+
+    The formulas act on a stack of frames, an (m, K, n) array, so that one
+    product with the gram (or one solve against its factor) serves every
+    frame in the stack. This class is the single-frame case, m = 1;
+    _GeneralizedStiefelPair stacks two frames over the same gram.
+
+    The last point a retraction (or polar) returned, or the last point a
+    projection ran at, is kept with its product U @ gram in a one-entry
+    memo. The polar map gets that product for O(K^2 n) from the V @ gram it
+    formed anyway, so transports at an accepted iterate do no n x n work.
+    The memo holds its own copy of the point and is looked up by value
+    (np.array_equal), never by object identity, so a caller that mutates a
+    point in place gets a fresh product, not a stale one.
     """
 
     def __init__(self, n: int, k: int, gram: np.ndarray):
@@ -419,6 +442,8 @@ class GeneralizedStiefel(Manifold):
             raise DimensionError(
                 f"gram matrix must be {self.n}x{self.n}, got {gram.shape}"
             )
+        if not np.isfinite(gram).all():
+            raise PositiveDefiniteError("gram matrix has non-finite entries")
         scale = max(1.0, float(np.abs(gram).max(initial=0.0)))
         if float(np.abs(gram - gram.T).max(initial=0.0)) > 1e-10 * scale:
             raise PositiveDefiniteError("gram matrix is not symmetric")
@@ -427,37 +452,78 @@ class GeneralizedStiefel(Manifold):
             self._cho = scipy.linalg.cho_factor(gram, lower=True)
         except np.linalg.LinAlgError as exc:
             raise PositiveDefiniteError("gram matrix is not positive definite") from exc
+        self._memo = None  # (stack of points, the same stack @ gram)
         self.name = f"GeneralizedStiefel({n},{k})"
 
-    def _apply_gram_inverse(self, m: np.ndarray) -> np.ndarray:
-        # Right-multiplication by gram^{-1}: rows of m are solved against
-        # the cached Cholesky factor. gram is symmetric, so transposing
-        # through the solve is exact. cho_factor checked the n x n factor
-        # once at construction; only the k x n argument is checked here.
-        m = np.asarray_chkfinite(m)
-        return scipy.linalg.cho_solve(self._cho, m.T, check_finite=False).T
+    # -- formulas over an (m, K, n) stack of frames --------------------------
+
+    def _times_gram(self, stack: np.ndarray) -> np.ndarray:
+        m = stack.shape[0]
+        return (stack.reshape(m * self.k, self.n) @ self.gram).reshape(stack.shape)
+
+    def _stack_gram(self, points: np.ndarray) -> np.ndarray:
+        """points @ gram, from the memo when it holds these values."""
+        if self._memo is not None and np.array_equal(self._memo[0], points):
+            return self._memo[1]
+        pg = self._times_gram(points)
+        self._memo = (points.copy(), pg)
+        return pg
+
+    @staticmethod
+    def _inv_sqrt_stack(moment: np.ndarray) -> tuple[np.ndarray, float]:
+        """moment^{-1/2} for each K x K matrix in the stack, and the largest
+        condition number among them."""
+        w, q = np.linalg.eigh(_sym(moment))
+        if np.any(w[:, 0] <= 1e-14 * np.maximum(w[:, -1], 1.0)):
+            raise DegenerateStepError(
+                "generalized polar normalization hit a rank-deficient matrix"
+            )
+        inv_sqrt = (q / np.sqrt(w)[:, None, :]) @ np.swapaxes(q, -1, -2)
+        return inv_sqrt, float((w[:, -1] / w[:, 0]).max())
+
+    def _polar_stack(self, v: np.ndarray) -> np.ndarray:
+        vg = self._times_gram(v)
+        inv_sqrt, cond = self._inv_sqrt_stack(vg @ np.swapaxes(v, -1, -2))
+        u, ug = inv_sqrt @ v, inv_sqrt @ vg
+        if cond > _POLAR_REFINE_COND:
+            # The eigh of an ill-conditioned moment leaves U gram U^T - I at
+            # about eps * cond. One more pass at U, whose moment is near I,
+            # brings it back to rounding level; ug is formed afresh so the
+            # memo holds the product of the returned point.
+            ug = self._times_gram(u)
+            inv_sqrt, _ = self._inv_sqrt_stack(ug @ np.swapaxes(u, -1, -2))
+            u, ug = inv_sqrt @ u, inv_sqrt @ ug
+        self._memo = (u.copy(), ug)
+        return u
+
+    def _project_stack(self, points: np.ndarray, ambient: np.ndarray) -> np.ndarray:
+        # a G U^T = a (U G)^T: G is symmetric, and U G may come from the memo.
+        s = ambient @ np.swapaxes(self._stack_gram(points), -1, -2)
+        return ambient - _sym(s) @ points
+
+    def _rgrad_stack(self, points: np.ndarray, egrad: np.ndarray) -> np.ndarray:
+        # G^{-1} g - (U g^T) U: one solve with m*K right-hand sides, and the
+        # K x K product avoids an n x n one. cho_factor checked the n x n
+        # factor once at construction; only the gradient is checked here.
+        rows = np.asarray_chkfinite(egrad.reshape(-1, self.n))
+        solved = scipy.linalg.cho_solve(self._cho, rows.T, check_finite=False).T
+        return solved.reshape(egrad.shape) - (points @ np.swapaxes(egrad, -1, -2)) @ points
+
+    # -- the single-frame manifold --------------------------------------------
 
     def project_tangent(self, point, ambient):
         a = self._expect(ambient, (self.k, self.n), "ambient matrix")
-        return a - _sym(a @ self.gram @ point.T) @ point
+        return self._project_stack(point[None], a[None])[0]
 
     def egrad_to_rgrad(self, point, egrad):
         g = self._expect(egrad, (self.k, self.n), "gradient")
-        # (U g^T) U, not U (g^T U): the k x k product avoids an n x n one.
-        return self._apply_gram_inverse(g) - (point @ g.T) @ point
+        return self._rgrad_stack(point[None], g[None])[0]
 
     def polar(self, v: np.ndarray) -> np.ndarray:
         """Map a full-row-rank ambient matrix onto the manifold via the
         generalized polar normalization (V gram V^T)^{-1/2} V."""
         v = self._expect(v, (self.k, self.n), "ambient matrix")
-        m = _sym(v @ self.gram @ v.T)
-        w, q = np.linalg.eigh(m)
-        if w[0] <= 1e-14 * max(float(w[-1]), 1.0):
-            raise DegenerateStepError(
-                "generalized polar normalization hit a rank-deficient matrix"
-            )
-        inv_sqrt = (q / np.sqrt(w)) @ q.T
-        return inv_sqrt @ v
+        return self._polar_stack(v[None])[0]
 
     def retract(self, point, tangent):
         if _is_zero(tangent):
@@ -473,3 +539,45 @@ class GeneralizedStiefel(Manifold):
     def tangency(self, point, tangent) -> float:
         m = point @ self.gram @ tangent.T
         return float(np.linalg.norm(m + m.T))
+
+
+class _GeneralizedStiefelPair(Product):
+    """Product(frame, frame) of one GeneralizedStiefel, with points (Y, Z),
+    whose operations run on the stacked 2K x n block: one gram product per
+    retraction or projection and one solve per gradient conversion serve
+    both frames, and the two K x K polar factors come from one batched
+    eigh. The factors and the tuple points are those of the plain Product,
+    and so are the results up to rounding. A factor whose tangent is zero
+    keeps its point object, as in Product.
+    """
+
+    def __init__(self, frame: GeneralizedStiefel):
+        super().__init__(frame, frame)
+        self.frame = frame
+
+    def _stack(self, parts, what: str) -> np.ndarray:
+        self._check(parts, what)
+        f = self.frame
+        return np.stack([f._expect(p, (f.k, f.n), what) for p in parts])
+
+    def project_tangent(self, point, ambient):
+        p = self._stack(point, "point")
+        return tuple(self.frame._project_stack(p, self._stack(ambient, "ambient matrix")))
+
+    def egrad_to_rgrad(self, point, egrad):
+        p = self._stack(point, "point")
+        return tuple(self.frame._rgrad_stack(p, self._stack(egrad, "gradient")))
+
+    def retract(self, point, tangent):
+        self._check(point, "point")
+        self._check(tangent, "tangent")
+        moving = [i for i, t in enumerate(tangent) if not _is_zero(t)]
+        if not moving:
+            return point
+        f = self.frame
+        v = np.stack([f._expect(point[i] + tangent[i], (f.k, f.n), "retraction argument")
+                      for i in moving])
+        out = list(point)
+        for i, u in zip(moving, f._polar_stack(v)):
+            out[i] = u
+        return tuple(out)

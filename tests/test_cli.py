@@ -95,6 +95,21 @@ def test_train_numeric_failure_exits_2(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_train_kods_overflowing_kernel_exits_2_without_traceback(tmp_path, capsys):
+    # degree 400 overflows the polynomial Gram to inf/NaN
+    csv = tmp_path / "wide.csv"
+    np.savetxt(csv, 10.0 * np.random.default_rng(0).standard_normal((20, 3)), delimiter=",")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train", "--data", str(csv), "--variant", "kods",
+                   "--kernel", "polynomial", "--degree", "400", "--k", "1",
+                   "--no-normalize", "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "numeric error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_gods_n_scale_underflow_exits_2(tmp_path, capsys):
     csv = tmp_path / "g.csv"
     assert main(["synth", "--kind", "gaussian", "--n", "80", "--d", "3",

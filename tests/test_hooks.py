@@ -11,6 +11,7 @@ import ocds.cli
 import ocds.kernels
 import ocds.kods
 import ocds.primal
+from ocds.solver import SolverConfig, minimize
 
 HOOKS = [
     (ocds.cli, "load_csv"),
@@ -63,3 +64,29 @@ def test_kods_batch_scoring_looks_up_gram_at_call_time(monkeypatch):
 def test_best_f1_signature():
     params = list(inspect.signature(ocds.cli._best_f1).parameters)
     assert params == ["s1", "s2", "eta", "truth"]
+
+
+def test_kods_problem_keeps_the_stepwise_rebuild_contract():
+    # The traced benchmark fit repeats kods_train step by step: it starts
+    # from factors[0].polar, hands minimize the tuple (y0, z0) and reads
+    # manifold.feasibility on the tuple it gets back.
+    x = np.random.default_rng(3).standard_normal((40, 2))
+    kernel = ocds.kernels.KernelSpec(family="rbf", sigma=0.5)
+    hyper = ocds.kods.KodsHyper(k=2)
+    cfg = SolverConfig(max_iters=30)
+    model, report = ocds.kods.kods_train(x, kernel, hyper, cfg, seed=4)
+
+    gram_pd, _ = ocds.kernels.ensure_pd(ocds.kernels.gram(kernel, model.support))
+    manifold, objective = ocds.kods.build_kods_problem(gram_pd, hyper)
+    factor = manifold.factors[0]
+    rng = np.random.default_rng(4)
+    base = np.full((2, 40), 1.0 / 80)
+    y0 = factor.polar(base * (1.0 + 1e-3 * rng.standard_normal(base.shape)))
+    z0 = factor.polar(base * (1.0 + 1e-3 * rng.standard_normal(base.shape)))
+    point, again = minimize(objective, manifold, (y0, z0), cfg)
+
+    assert isinstance(point, tuple) and len(point) == 2
+    assert point[0].tobytes() == model.duals.y.tobytes()
+    assert point[1].tobytes() == model.duals.z.tobytes()
+    assert again.objective_trace == report.objective_trace
+    assert manifold.feasibility((point[0], point[1])) == ocds.kods.kods_feasibility(model)

@@ -299,3 +299,22 @@ def test_ensure_pd_symmetrizes_roundoff_asymmetry():
     out, eps = ensure_pd(k)
     np.testing.assert_array_equal(out, out.T)
     assert eps == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_ensure_pd_rejects_non_finite_entries(bad):
+    # numpy's cholesky accepts inf/NaN without raising, so without the check
+    # the matrix came back unrepaired with eps 0
+    k = np.eye(3)
+    k[1, 2] = k[2, 1] = bad
+    with pytest.raises(ConditioningError, match="non-finite"):
+        ensure_pd(k)
+
+
+def test_ensure_pd_rejects_an_overflowing_polynomial_gram():
+    x = 10.0 * np.random.default_rng(0).standard_normal((20, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = gram(KernelSpec(family="polynomial", degree=400), x)
+    assert not np.isfinite(g).all()
+    with pytest.raises(ConditioningError):
+        ensure_pd(g)

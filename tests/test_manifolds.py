@@ -13,7 +13,9 @@ from ocds.manifolds import (
     Product,
     Sphere,
     Stiefel,
+    _GeneralizedStiefelPair,
     _gram_residual,
+    _sym,
     tree_dot,
     tree_leaves,
     tree_map,
@@ -428,6 +430,14 @@ def test_generalized_stiefel_rejects_indefinite_gram():
         GeneralizedStiefel(3, 1, np.diag([1.0, -1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_generalized_stiefel_rejects_non_finite_gram(bad):
+    g = np.eye(4)
+    g[0, 3] = g[3, 0] = bad
+    with pytest.raises(PositiveDefiniteError, match="non-finite"):
+        GeneralizedStiefel(4, 2, g)
+
+
 def test_dimension_validation():
     with pytest.raises(DimensionError):
         Stiefel(2, 3)
@@ -472,3 +482,77 @@ def test_gram_residual_is_the_generalized_stiefel_feasibility():
     u = np.random.default_rng(8).standard_normal((2, 6))
     assert _gram_residual(u, gram) == man.feasibility(u)
     assert _gram_residual(man.random_point(9), gram) <= FEAS_TOL
+
+
+# ---------------------------------------------------------------------------
+# _GeneralizedStiefelPair: the stacked (Y, Z) pair against per-factor
+# GeneralizedStiefel
+
+
+def _pair_case(k, seed, n=9):
+    gram = _pd_gram(n, seed)
+    pair = _GeneralizedStiefelPair(GeneralizedStiefel(n, k, gram))
+    point = pair.random_point(seed + 1)
+    tangent = _random_tangent(pair, point, seed + 2, scale=0.3)
+    return gram, pair, point, tangent
+
+
+def _rel(got, want):
+    return max(np.linalg.norm(g - w) / np.linalg.norm(w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_stiefel_pair_matches_per_factor_generalized_stiefel(k):
+    for seed in range(5):
+        gram, pair, point, tangent = _pair_case(k, seed)
+        n = gram.shape[0]
+
+        def ref():  # a fresh factor each time: nothing memoized
+            return GeneralizedStiefel(n, k, gram)
+
+        moved = pair.retract(point, tangent)
+        assert _rel(moved, [ref().retract(p, t) for p, t in zip(point, tangent)]) <= 1e-12
+        ambient = _random_ambient(point, seed + 3)
+        # at the retracted point (U G from the memo) and at a fresh one
+        for at in (moved, point):
+            want = [ref().project_tangent(p, a) for p, a in zip(at, ambient)]
+            assert _rel(pair.project_tangent(at, ambient), want) <= 1e-12
+            want = [ref().transport(s, e, a) for s, e, a in zip(point, at, ambient)]
+            assert _rel(pair.transport(point, at, ambient), want) <= 1e-12
+            want = [ref().egrad_to_rgrad(p, a) for p, a in zip(at, ambient)]
+            assert _rel(pair.egrad_to_rgrad(at, ambient), want) <= 1e-12
+        assert pair.feasibility(moved) <= FEAS_TOL
+        assert pair.tangency(moved, pair.project_tangent(moved, ambient)) <= TANG_TOL
+
+
+def test_stiefel_pair_keeps_the_point_of_a_factor_with_zero_tangent():
+    _, pair, point, tangent = _pair_case(2, 0)
+    for still in (0, 1):
+        t = list(tangent)
+        t[still] = np.zeros_like(t[still])
+        moved = pair.retract(point, tuple(t))
+        assert moved[still] is point[still]
+        assert moved[1 - still] is not point[1 - still]
+        assert pair.feasibility(moved) <= FEAS_TOL
+    zero = tuple(np.zeros_like(p) for p in point)
+    assert all(a is b for a, b in zip(pair.retract(point, zero), point))
+
+
+def test_stiefel_pair_projection_sees_in_place_mutation_of_the_retracted_point():
+    gram, pair, point, tangent = _pair_case(2, 4)
+    moved = pair.retract(point, tangent)
+    ambient = _random_ambient(point, 5)
+    pair.project_tangent(moved, ambient)   # served from the memo
+    moved[0][:, 0] += 0.5                  # same objects, new values
+    got = pair.project_tangent(moved, ambient)
+    want = [a - _sym(a @ gram @ p.T) @ p for p, a in zip(moved, ambient)]
+    assert _rel(got, want) <= 1e-12
+
+
+def test_stiefel_pair_checks_shapes():
+    _, pair, point, _ = _pair_case(2, 0)
+    with pytest.raises(DimensionError):
+        pair.project_tangent(point, (point[0],))
+    with pytest.raises(DimensionError):
+        pair.egrad_to_rgrad(point, (point[0], point[1][:1]))
+    assert pair.factors[0] is pair.factors[1]
