@@ -32,7 +32,7 @@ from .primal import (
 from .solver import SolverConfig, fd_gradient_check
 
 GRADCHECK_TOL = 1e-5
-_INPUT_ERRORS = errors.INPUT_ERRORS + (FileNotFoundError, IsADirectoryError, PermissionError, OSError)
+_INPUT_ERRORS = errors.INPUT_ERRORS + (OSError,)
 _NUMERIC_ERRORS = errors.NUMERIC_ERRORS + (np.linalg.LinAlgError,)
 
 

@@ -69,16 +69,28 @@ def load_csv(
     """Read a numeric CSV into a Dataset.
 
     label_column may be a 0-based index or, when has_header is set, a
-    column name. Unparseable fields and ragged rows raise DataError with
-    the offending line number; rows that parse to non-finite values are
-    dropped with a warning listing their indices.
+    column name. The file is read as UTF-8. A delimiter the csv module
+    rejects (anything but one character) raises SchemaError before the
+    file is opened. Undecodable bytes, unparseable fields and ragged rows
+    raise DataError, the latter two with the offending line number; rows
+    that parse to non-finite values are dropped with a warning listing
+    their indices.
     """
+    try:
+        csv.reader((), delimiter=delimiter)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad CSV delimiter {delimiter!r}: {exc}") from None
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -157,10 +169,10 @@ def load_csv(
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write features (and labels, if present, as the last column) as CSV.
-    Floats are written with repr so a load_csv round trip is bit-exact."""
+    """Write features (and labels, if present, as the last column) as UTF-8
+    CSV. Floats are written with repr so a load_csv round trip is bit-exact."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         for i in range(dataset.n):
             row = [repr(float(v)) for v in dataset.features[i]]

@@ -117,7 +117,7 @@ def save_model(model, path, fingerprint: dict | None = None) -> None:
     if fingerprint is not None:
         doc["fingerprint"] = fingerprint
     text = json.dumps(doc, sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_model(path):
@@ -126,7 +126,9 @@ def load_model(path):
     if not path.exists():
         raise SchemaError(f"no such model file: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"model file {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"model file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

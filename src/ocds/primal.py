@@ -5,7 +5,7 @@ data from below: training drives min_k(W1^T x + b1) above the margin eta.
 W2 bounds it from above: max_k(W2^T x + b2) is driven below -eta. Both
 conditions holding at once marks a point as in-class.
 
-Variants differ only in the constraint set of the frames:
+Variants differ in the constraint set of the frames:
 
   bods    -- K = 1, each w a unit vector (two coupled hyperplanes)
   gods    -- orthonormal frames
@@ -15,8 +15,11 @@ Variants differ only in the constraint set of the frames:
   gods_e  -- unconstrained frames with a soft orthogonality penalty
              (lam/2) * ||W^T W - I||_F^2 per frame
 
-The fitting term pulls every response toward zero, the hinge terms push
-the extreme responses past the margins; see the objective functions.
+Every variant minimizes the same three terms: a lead term, squared hinges
+that push the extreme responses past the margins, and the variant's
+penalty. The lead term is the mean squared response, which pulls every
+response toward zero; bods instead couples its two hyperplanes through
+(b1-b2)^2 - 2(b1-b2) - w1.w2. See gods_objective.
 """
 from __future__ import annotations
 
@@ -139,30 +142,6 @@ def _responses(frames: FramePair, x: np.ndarray):
     return x @ w1 + frames.b1, x @ w2 + frames.b2
 
 
-def _core_value(p1, p2, eta, nu, n):
-    fit = 0.5 / n * (float(np.sum(p1 * p1)) + float(np.sum(p2 * p2)))
-    h1 = np.maximum(eta - p1.min(axis=1), 0.0)
-    h2 = np.maximum(eta + p2.max(axis=1), 0.0)
-    hinge = 0.5 * nu / n * (float(np.sum(h1 * h1)) + float(np.sum(h2 * h2)))
-    return fit + hinge
-
-
-def _core_grads(x, p1, p2, eta, nu):
-    n = x.shape[0]
-    # argmin/argmax break ties toward the lowest index.
-    h1 = np.maximum(eta - p1.min(axis=1), 0.0)
-    a = np.zeros_like(p1)
-    a[np.arange(n), p1.argmin(axis=1)] = h1
-    h2 = np.maximum(eta + p2.max(axis=1), 0.0)
-    b = np.zeros_like(p2)
-    b[np.arange(n), p2.argmax(axis=1)] = h2
-    dw1 = x.T @ p1 / n - (nu / n) * (x.T @ a)
-    db1 = p1.sum(axis=0) / n - (nu / n) * a.sum(axis=0)
-    dw2 = x.T @ p2 / n + (nu / n) * (x.T @ b)
-    db2 = p2.sum(axis=0) / n + (nu / n) * b.sum(axis=0)
-    return dw1, db1, dw2, db2
-
-
 def _check_training_inputs(frames: FramePair, x: np.ndarray, hyper: GodsHyper):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -175,56 +154,12 @@ def _check_training_inputs(frames: FramePair, x: np.ndarray, hyper: GodsHyper):
     return x
 
 
-def bods_objective(frames: FramePair, x: np.ndarray, hyper: GodsHyper) -> float:
-    """Two coupled hyperplanes: a bias-coupling term (b1-b2)^2 - 2(b1-b2),
-    an alignment term -w1.w2, and squared hinges on both margins."""
-    x = _check_training_inputs(frames, x, hyper)
-    n = x.shape[0]
-    w1, w2 = frames.w1[:, 0], frames.w2[:, 0]
-    b1, b2 = float(frames.b1[0]), float(frames.b2[0])
-    gap = b1 - b2
-    alpha = gap * gap - 2.0 * gap
-    s1 = x @ w1 + b1
-    s2 = x @ w2 + b2
-    h1 = np.maximum(hyper.eta - s1, 0.0)
-    h2 = np.maximum(hyper.eta + s2, 0.0)
-    hinge = 0.5 * hyper.nu / n * (float(np.sum(h1 * h1)) + float(np.sum(h2 * h2)))
-    return 0.5 * alpha - float(w1 @ w2) + hinge
-
-
-def bods_egrad(frames: FramePair, x: np.ndarray, hyper: GodsHyper) -> FramePair:
-    x = _check_training_inputs(frames, x, hyper)
-    n = x.shape[0]
-    w1, w2 = frames.w1[:, 0], frames.w2[:, 0]
-    b1, b2 = float(frames.b1[0]), float(frames.b2[0])
-    gap = b1 - b2
-    s1 = x @ w1 + b1
-    s2 = x @ w2 + b2
-    h1 = np.maximum(hyper.eta - s1, 0.0)
-    h2 = np.maximum(hyper.eta + s2, 0.0)
-    c = hyper.nu / n
-    dw1 = -w2 - c * (x.T @ h1)
-    dw2 = -w1 + c * (x.T @ h2)
-    db1 = gap - 1.0 - c * float(h1.sum())
-    db2 = -gap + 1.0 + c * float(h2.sum())
-    return FramePair(
-        w1=dw1[:, None],
-        b1=np.array([db1]),
-        w2=dw2[:, None],
-        b2=np.array([db2]),
-    )
-
-
 def _pnorm(r: np.ndarray, p: float) -> float:
-    if p == 1.0:
-        return float(np.sum(np.abs(r)))
     return float(np.sum(np.abs(r) ** p) ** (1.0 / p))
 
 
 def _pnorm_grad(r: np.ndarray, p: float) -> np.ndarray:
     # Valid for r > 0, which the manifold guarantees.
-    if p == 1.0:
-        return np.ones_like(r)
     total = float(np.sum(r**p))
     if total == 0.0:
         # The scales collapsed so far toward zero that every r**p underflowed;
@@ -242,14 +177,24 @@ def _soft_orth_value(w: np.ndarray) -> float:
 
 
 def gods_objective(frames: FramePair, x: np.ndarray, hyper: GodsHyper) -> float:
-    """Frame-pair objective: mean squared response of both frames plus
-    squared hinges on the extreme responses, with the variant's penalty."""
-    if hyper.variant == "bods":
-        return bods_objective(frames, x, hyper)
+    """Frame-pair objective of every variant: a lead term, squared hinges
+    on the extreme responses, and the variant's penalty.
+
+    The lead term is the mean squared response of both frames, except for
+    bods, whose lead term couples its two hyperplanes: the bias term
+    (b1-b2)^2 - 2(b1-b2) plus the alignment term -w1.w2.
+    """
     x = _check_training_inputs(frames, x, hyper)
     n = x.shape[0]
     p1, p2 = _responses(frames, x)
-    value = _core_value(p1, p2, hyper.eta, hyper.nu, n)
+    if hyper.variant == "bods":
+        gap = float(frames.b1[0] - frames.b2[0])
+        value = 0.5 * (gap * gap - 2.0 * gap) - float(frames.w1[:, 0] @ frames.w2[:, 0])
+    else:
+        value = 0.5 / n * (float(np.sum(p1 * p1)) + float(np.sum(p2 * p2)))
+    h1 = np.maximum(hyper.eta - p1.min(axis=1), 0.0)
+    h2 = np.maximum(hyper.eta + p2.max(axis=1), 0.0)
+    value += 0.5 * hyper.nu / n * (float(np.sum(h1 * h1)) + float(np.sum(h2 * h2)))
     if hyper.variant == "gods_n":
         value += 0.5 * hyper.lam * (
             _pnorm(frames.r1, hyper.p_norm) + _pnorm(frames.r2, hyper.p_norm)
@@ -268,11 +213,27 @@ def gods_egrad(frames: FramePair, x: np.ndarray, hyper: GodsHyper) -> FramePair:
     factor (chain rule through W = Q diag(r)) and the r gradients land in
     the r1/r2 slots.
     """
-    if hyper.variant == "bods":
-        return bods_egrad(frames, x, hyper)
     x = _check_training_inputs(frames, x, hyper)
+    n = x.shape[0]
     p1, p2 = _responses(frames, x)
-    dw1, db1, dw2, db2 = _core_grads(x, p1, p2, hyper.eta, hyper.nu)
+    if hyper.variant == "bods":
+        gap = float(frames.b1[0] - frames.b2[0])
+        dw1, db1 = -frames.w2, np.array([gap - 1.0])
+        dw2, db2 = -frames.w1, np.array([-gap + 1.0])
+    else:
+        dw1, db1 = x.T @ p1 / n, p1.sum(axis=0) / n
+        dw2, db2 = x.T @ p2 / n, p2.sum(axis=0) / n
+    # Each row's hinge lands on its extreme column; argmin/argmax break
+    # ties toward the lowest index.
+    a = np.zeros_like(p1)
+    a[np.arange(n), p1.argmin(axis=1)] = np.maximum(hyper.eta - p1.min(axis=1), 0.0)
+    b = np.zeros_like(p2)
+    b[np.arange(n), p2.argmax(axis=1)] = np.maximum(hyper.eta + p2.max(axis=1), 0.0)
+    c = hyper.nu / n
+    dw1 = dw1 - c * (x.T @ a)
+    db1 = db1 - c * a.sum(axis=0)
+    dw2 = dw2 + c * (x.T @ b)
+    db2 = db2 + c * b.sum(axis=0)
 
     if hyper.variant == "gods_n":
         dq1 = dw1 * frames.r1
@@ -290,6 +251,12 @@ def gods_egrad(frames: FramePair, x: np.ndarray, hyper: GodsHyper) -> FramePair:
         dw1 = dw1 + 2.0 * hyper.lam * frames.w1 @ (frames.w1.T @ frames.w1 - eye)
         dw2 = dw2 + 2.0 * hyper.lam * frames.w2 @ (frames.w2.T @ frames.w2 - eye)
     return FramePair(w1=dw1, b1=db1, w2=dw2, b2=db2)
+
+
+# bods has no objective code of its own: its names are the shared
+# functions, which dispatch on hyper.variant.
+bods_objective = gods_objective
+bods_egrad = gods_egrad
 
 
 # ---------------------------------------------------------------------------

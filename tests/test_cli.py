@@ -68,6 +68,29 @@ def test_train_missing_data_exits_1(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_train_non_utf8_data_exits_1(tmp_path, capsys):
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes(b"1.0,2.0\n3.0,4.0\xff\n")
+    rc = main(["train", "--data", str(csv), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--delimiter", ";;"], ["--delimiter="]])
+def test_train_bad_delimiter_exits_1(workdir, tmp_path, capsys, flag):
+    rc = main(["train", "--data", str(workdir / "gauss.csv"), *flag,
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert "input error: bad CSV delimiter" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_data_path_is_a_directory_exits_1(tmp_path, capsys):
+    rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_train_labeled_data_needs_target(tmp_path):
     csv = tmp_path / "lab.csv"
     csv.write_text("1.0,2.0,a\n2.0,1.0,b\n")
@@ -171,6 +194,14 @@ def test_predict_dimension_mismatch_exits_1(workdir, tmp_path):
     csv.write_text("1.0,2.0,3.0,4.0\n")
     rc = main(["predict", "--model", str(workdir / "gods.json"), "--data", str(csv)])
     assert rc == 1
+
+
+def test_predict_non_utf8_model_exits_1(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes((workdir / "gods.json").read_bytes() + b"\x80")
+    rc = main(["predict", "--model", str(bad), "--data", str(workdir / "gauss.csv")])
+    assert rc == 1
+    assert "input error: model file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [("frames", 5), ("feature_dim", "abc")])

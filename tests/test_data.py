@@ -131,6 +131,27 @@ def test_load_label_index_out_of_range(tmp_path):
         load_csv(p, label_column=5)
 
 
+def test_load_non_utf8_bytes_is_a_data_error(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("1,2,caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_csv(p, label_column=-1)
+
+
+def test_load_oversized_field_is_a_data_error(tmp_path):
+    p = tmp_path / "huge.csv"
+    p.write_text("1," + "2" * 200_000 + "\n")  # past the csv module's field limit
+    with pytest.raises(DataError, match="field larger than field limit"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("delimiter", [";;", "", None, 5])
+def test_load_rejects_a_delimiter_that_is_not_one_character(tmp_path, delimiter):
+    # checked before the file is read: the path need not exist
+    with pytest.raises(SchemaError, match="delimiter"):
+        load_csv(tmp_path / "absent.csv", delimiter=delimiter)
+
+
 def test_load_drops_non_finite_rows_with_warning(tmp_path):
     p = tmp_path / "inf.csv"
     p.write_text("1,2,a\ninf,3,b\n4,5,c\n")
@@ -171,6 +192,14 @@ def test_round_trip_with_labels_last(tmp_path):
     back = load_csv(p, label_column=-1)
     np.testing.assert_array_equal(back.features, ds.features)
     assert list(back.labels) == ["in", "out"]
+
+
+def test_round_trip_writes_utf8_labels(tmp_path):
+    ds = Dataset(features=np.array([[0.5]]), labels=np.array(["\u00e9t\u00e9"], dtype=object))
+    p = tmp_path / "rtu.csv"
+    write_csv(ds, p)
+    assert p.read_bytes() == "0.5,\u00e9t\u00e9\r\n".encode("utf-8")
+    assert list(load_csv(p, label_column=-1).labels) == ["\u00e9t\u00e9"]
 
 
 def test_round_trip_with_labels_first(tmp_path):

@@ -170,6 +170,14 @@ def test_invalid_json_raises(tmp_path):
         load_model(p)
 
 
+def test_non_utf8_file_raises(gods_model, tmp_path):
+    p = tmp_path / "latin1.json"
+    save_model(gods_model, p)
+    p.write_bytes(p.read_bytes().replace(b'"gods"', b'"gods\xe9"'))
+    with pytest.raises(SchemaError, match="not UTF-8"):
+        load_model(p)
+
+
 def test_non_object_top_level_raises(tmp_path):
     p = tmp_path / "list.json"
     p.write_text("[1, 2]")

@@ -130,6 +130,49 @@ def test_bods_rejects_empty_data():
         bods_objective(frames, np.zeros((0, 1)), GodsHyper(variant="bods", k=1))
 
 
+def _bods_reference(frames, x, hyper):
+    """bods value and gradient written out on 1-D vectors, independently of
+    the shared frame-pair code."""
+    n = x.shape[0]
+    w1, w2 = frames.w1[:, 0], frames.w2[:, 0]
+    b1, b2 = float(frames.b1[0]), float(frames.b2[0])
+    gap = b1 - b2
+    h1 = np.maximum(hyper.eta - (x @ w1 + b1), 0.0)
+    h2 = np.maximum(hyper.eta + (x @ w2 + b2), 0.0)
+    hinge = 0.5 * hyper.nu / n * (float(np.sum(h1 * h1)) + float(np.sum(h2 * h2)))
+    value = 0.5 * (gap * gap - 2.0 * gap) - float(w1 @ w2) + hinge
+    c = hyper.nu / n
+    grad = FramePair(
+        w1=(-w2 - c * (x.T @ h1))[:, None],
+        b1=np.array([gap - 1.0 - c * float(h1.sum())]),
+        w2=(-w1 + c * (x.T @ h2))[:, None],
+        b2=np.array([-gap + 1.0 + c * float(h2.sum())]),
+    )
+    return value, grad, h1, h2
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bods_value_and_gradient_bit_equal_the_reference(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 60)), int(rng.integers(1, 9))
+    x = rng.standard_normal((n, d)) * rng.uniform(0.2, 3.0)
+    hyper = GodsHyper(variant="bods", k=1, eta=rng.uniform(0.1, 1.0),
+                      nu=rng.uniform(0.1, 3.0), normalize=False)
+    problem = build_primal_problem(x, hyper)
+    point = problem.manifold.random_point(rng)
+    point = (point[0], rng.normal(0.0, 0.5, 1), point[2], rng.normal(0.0, 0.5, 1))
+    frames = problem.unpack(point)
+
+    value, grad, h1, h2 = _bods_reference(frames, x, hyper)
+    assert h1.any() and h2.any()  # both hinges are active
+    assert gods_objective(frames, x, hyper) == value
+    g = gods_egrad(frames, x, hyper)
+    for name in ("w1", "b1", "w2", "b2"):
+        got, want = getattr(g, name), getattr(grad, name)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # gods objective
 
