@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import errors
-from .data import SYNTH_KINDS, Dataset, load_csv, one_class_split, synth, write_csv
+from .data import SYNTH_KINDS, SYNTH_PARAMS, Dataset, load_csv, one_class_split, synth, write_csv
 from .inference import anomaly_score, calibrate_eta, classify, compute_metrics, roc_points
 from .kernels import FAMILIES, KernelSpec, ensure_pd, gram
 from .kods import KodsHyper, KodsModel, build_kods_problem, kods_scores_batch, kods_train
@@ -52,26 +52,35 @@ def _int_at_least(low: int):
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", default="gods", choices=list(VARIANTS) + ["kods"],
-                   help="model variant (default: gods)")
-    p.add_argument("--kernel", default="rbf", choices=list(FAMILIES),
-                   help="kernel family for kods (default: rbf)")
-    p.add_argument("--sigma", type=float, default=0.1, help="rbf bandwidth (default: 0.1)")
-    p.add_argument("--degree", type=int, default=3, help="polynomial degree (default: 3)")
-    p.add_argument("--offset", type=float, default=1.0, help="polynomial offset (default: 1.0)")
-    p.add_argument("--k", type=int, default=None,
-                   help="number of components per frame (default: 3; bods forces 1)")
-    p.add_argument("--eta", type=float, default=0.3, help="margin threshold (default: 0.3)")
-    p.add_argument("--nu", type=float, default=1.0, help="hinge weight (default: 1.0)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="penalty weight (default: 1.0)")
-    p.add_argument("--p-norm", dest="p_norm", type=float, default=1.0,
-                   help="scale-penalty norm order for gods_n (default: 1)")
+    # Flags left unset stay None, so the dataclasses apply their own defaults.
+    p.add_argument("--variant", default=GodsHyper.variant, choices=list(VARIANTS) + ["kods"],
+                   help=f"model variant (default: {GodsHyper.variant})")
+    p.add_argument("--kernel", dest="family", choices=list(FAMILIES),
+                   help=f"kernel family for kods (default: {KernelSpec.family})")
+    p.add_argument("--sigma", type=float, help=f"rbf bandwidth (default: {KernelSpec.sigma})")
+    p.add_argument("--degree", type=int, help=f"polynomial degree (default: {KernelSpec.degree})")
+    p.add_argument("--offset", type=float, help=f"polynomial offset (default: {KernelSpec.offset})")
+    p.add_argument("--k", type=int,
+                   help=f"number of components per frame (default: {GodsHyper.k}; bods forces 1)")
+    p.add_argument("--eta", type=float, help=f"margin threshold (default: {GodsHyper.eta})")
+    p.add_argument("--nu", type=float, help=f"hinge weight (default: {GodsHyper.nu})")
+    p.add_argument("--lambda", dest="lam", type=float,
+                   help=f"penalty weight (default: {GodsHyper.lam})")
+    p.add_argument("--p-norm", type=float,
+                   help=f"scale-penalty norm order for gods_n (default: {GodsHyper.p_norm})")
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="PRNG seed (default: 0)")
-    p.add_argument("--no-normalize", action="store_true",
+    p.add_argument("--no-normalize", dest="normalize", action="store_false", default=None,
                    help="skip l2 normalization of feature rows")
-    p.add_argument("--max-iters", type=_int_at_least(0), default=None,
-                   help="solver iteration cap (default: 500)")
+    p.add_argument("--max-iters", type=_int_at_least(0),
+                   help=f"solver iteration cap (default: {SolverConfig.max_iters})")
+
+
+def _given(args, names) -> dict:
+    """The flags among names, or among the fields of dataclass names, that
+    were given on the command line."""
+    if isinstance(names, type):
+        names = [f.name for f in fields(names)]
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
 
 
 def _load_labeled(args, need_labels: bool) -> Dataset:
@@ -101,28 +110,40 @@ def _training_matrix(ds: Dataset, args) -> np.ndarray:
     return ds.features[mask]
 
 
-def _score_batch(model, x: np.ndarray):
+def _score_file(args, need_labels: bool):
+    """(model, dataset, s1, s2): the --model file's scores on the --data rows.
+    The steps are module globals looked up at call time, so tracing can wrap them."""
+    model = load_model(args.model)
+    ds = _load_labeled(args, need_labels)
     if isinstance(model, KodsModel):
-        return kods_scores_batch(model, x)
-    return primal_scores_batch(model, x)
+        s1, s2 = kods_scores_batch(model, ds.features)
+    else:
+        s1, s2 = primal_scores_batch(model, ds.features)
+    return model, ds, s1, s2
+
+
+def _write_out(text: str, out, what: str) -> None:
+    """Write text to the file out and say so, or to stdout without one."""
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {what} -> {out}")
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_train(args) -> int:
     ds = _load_labeled(args, need_labels=False)
     x = _training_matrix(ds, args)
-    normalize = not args.no_normalize
-    cfg = SolverConfig() if args.max_iters is None else SolverConfig(max_iters=args.max_iters)
+    cfg = SolverConfig(**_given(args, SolverConfig))
     if args.variant == "kods":
-        kernel = KernelSpec(family=args.kernel, sigma=args.sigma,
-                            degree=args.degree, offset=args.offset)
-        k = args.k if args.k is not None else 3
-        hyper = KodsHyper(k=k, eta=args.eta, lam=args.lam, normalize=normalize)
+        kernel = KernelSpec(**_given(args, KernelSpec))
+        hyper = KodsHyper(**_given(args, KodsHyper))
         model, report = kods_train(x, kernel, hyper, cfg, seed=args.seed)
     else:
-        k = args.k if args.k is not None else (1 if args.variant == "bods" else 3)
-        hyper = GodsHyper(variant=args.variant, k=k, eta=args.eta, nu=args.nu,
-                          lam=args.lam, p_norm=args.p_norm, normalize=normalize)
-        model, report = train_primal(x, hyper, cfg, seed=args.seed)
+        hyper = _given(args, GodsHyper)
+        if args.variant == "bods":
+            hyper.setdefault("k", 1)
+        model, report = train_primal(x, GodsHyper(**hyper), cfg, seed=args.seed)
 
     fingerprint = {"seed": args.seed, "data_sha256": data_fingerprint(x)}
     save_model(model, args.out, fingerprint=fingerprint)
@@ -150,30 +171,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = load_model(args.model)
-    ds = _load_labeled(args, need_labels=False)
-    s1, s2 = _score_batch(model, ds.features)
+    model, ds, s1, s2 = _score_file(args, need_labels=False)
     eta = model.eta_effective
     in_class = classify(s1, s2, eta)
     scores = anomaly_score(s1, s2, eta)
     lines = ["s1,s2,anomaly_score,label"]
     for a, b, score, ok in zip(s1.tolist(), s2.tolist(), scores.tolist(), in_class.tolist()):
         lines.append(f"{a!r},{b!r},{score!r},{'in-class' if ok else 'anomaly'}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {ds.n} predictions -> {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_out("\n".join(lines) + "\n", args.out, f"{ds.n} predictions")
     return 0
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
-    ds = _load_labeled(args, need_labels=True)
     if args.target is None:
         raise errors.SchemaError("eval needs --target naming the in-class label")
-    s1, s2 = _score_batch(model, ds.features)
+    model, ds, s1, s2 = _score_file(args, need_labels=True)
     eta = model.eta_effective
     preds = classify(s1, s2, eta)
     scores = anomaly_score(s1, s2, eta)
@@ -188,12 +200,7 @@ def cmd_eval(args) -> int:
         "threshold": report.threshold,  # listed here so it precedes the metrics
         **asdict(report),
     }
-    text = json.dumps(doc, indent=1) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote evaluation report -> {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_out(json.dumps(doc, indent=1) + "\n", args.out, "evaluation report")
     if args.roc:
         fpr, tpr = roc_points(truth, scores)
         roc_text = "fpr,tpr\n" + "\n".join(
@@ -205,14 +212,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    model = load_model(args.model)
-    ds = _load_labeled(args, need_labels=True)
+    model, ds, s1, s2 = _score_file(args, need_labels=True)
     distinct = set(ds.labels.tolist())
     if len(distinct) < 2:
         raise errors.DataError(
             f"calibration needs a validation set with both classes; found labels {sorted(distinct)}"
         )
-    s1, s2 = _score_batch(model, ds.features)
     eta = model.eta_effective
     eta_prime = calibrate_eta(list(s1), list(s2), eta)
     calibrated = replace(model, eta_effective=float(eta_prime))
@@ -230,14 +235,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = {}
-    if args.kind == "gaussian":
-        params = {"d": args.d, "mean": args.mean, "cov": args.cov}
-    elif args.kind in ("ring", "ring3d"):
-        params = {"r_in": args.r_in, "r_out": args.r_out}
-        if args.kind == "ring3d":
-            params["height"] = args.height
-    ds = synth(args.kind, args.n, seed=args.seed, **params)
+    names = {name for params in SYNTH_PARAMS.values() for name in params}
+    ds = synth(args.kind, args.n, seed=args.seed, **_given(args, names))
     write_csv(ds, args.out)
     print(f"wrote {ds.n} x {ds.dim} {args.kind} rows -> {args.out}")
     return 0
@@ -327,10 +326,10 @@ def _bench_one(ds: Dataset, target: str, seeds: int, kernel: KernelSpec):
 def _kernel_from_config(doc: dict) -> KernelSpec:
     ker = doc.get("kernel", {})
     return KernelSpec(
-        family=ker.get("family", "rbf"),
-        sigma=float(ker.get("sigma", 0.1)),
-        degree=int(ker.get("degree", 3)),
-        offset=float(ker.get("offset", 1.0)),
+        family=ker.get("family", KernelSpec.family),
+        sigma=float(ker.get("sigma", KernelSpec.sigma)),
+        degree=int(ker.get("degree", KernelSpec.degree)),
+        offset=float(ker.get("offset", KernelSpec.offset)),
     )
 
 
@@ -353,8 +352,9 @@ def cmd_bench_uci(args) -> int:
             label_key = doc["label_column"]
             target_key = doc["target"]
             kernel = _kernel_from_config(doc)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            # ValueError covers bad JSON, bad numbers and bad kernel parameters.
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON, bad numbers and bad kernel parameters;
+            # RecursionError, JSON nested deeper than the parser's stack.
             raise errors.SchemaError(f"bad dataset config {cfg_path}: {exc}") from None
         if not csv_path.is_absolute():
             csv_path = cfg_path.parent / csv_path
@@ -441,12 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--kind", required=True, choices=list(SYNTH_KINDS))
     p_synth.add_argument("--n", type=int, required=True)
     p_synth.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_synth.add_argument("--d", type=int, default=2, help="gaussian dimension")
-    p_synth.add_argument("--mean", type=float, default=0.0, help="gaussian mean")
-    p_synth.add_argument("--cov", type=float, default=1.0, help="gaussian variance")
-    p_synth.add_argument("--r-in", dest="r_in", type=float, default=0.7)
-    p_synth.add_argument("--r-out", dest="r_out", type=float, default=1.0)
-    p_synth.add_argument("--height", type=float, default=0.3, help="ring3d thickness")
+    # Per-kind flags stay None unless given; synth rejects one its kind does not take.
+    g, r = SYNTH_PARAMS["gaussian"], SYNTH_PARAMS["ring3d"]
+    p_synth.add_argument("--d", type=int, help=f"gaussian dimension (default: {g['d']})")
+    p_synth.add_argument("--mean", type=float, help=f"gaussian mean (default: {g['mean']})")
+    p_synth.add_argument("--cov", type=float, help=f"gaussian variance (default: {g['cov']})")
+    p_synth.add_argument("--r-in", type=float, help=f"ring inner radius (default: {r['r_in']})")
+    p_synth.add_argument("--r-out", type=float, help=f"ring outer radius (default: {r['r_out']})")
+    p_synth.add_argument("--height", type=float, help=f"ring3d thickness (default: {r['height']})")
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,9 +25,18 @@ __all__ = [
     "one_class_split",
     "synth",
     "SYNTH_KINDS",
+    "SYNTH_PARAMS",
 ]
 
-SYNTH_KINDS = ("gaussian", "arbitrary", "ring", "ring3d")
+# The parameters each synthetic kind takes, with their defaults; synth
+# rejects any other.
+SYNTH_PARAMS = {
+    "gaussian": {"d": 2, "mean": 0.0, "cov": 1.0},
+    "arbitrary": {},
+    "ring": {"r_in": 0.7, "r_out": 1.0},
+    "ring3d": {"r_in": 0.7, "r_out": 1.0, "height": 0.3},
+}
+SYNTH_KINDS = tuple(SYNTH_PARAMS)
 
 
 @dataclass
@@ -69,12 +79,13 @@ def load_csv(
     """Read a numeric CSV into a Dataset.
 
     label_column may be a 0-based index or, when has_header is set, a
-    column name. The file is read as UTF-8. A delimiter the csv module
-    rejects (anything but one character) raises SchemaError before the
-    file is opened. Undecodable bytes, unparseable fields and ragged rows
-    raise DataError, the latter two with the offending line number; rows
-    that parse to non-finite values are dropped with a warning listing
-    their indices.
+    column name. The file is read as UTF-8; a leading byte-order mark is
+    dropped. A header, when there is one, sets the column count. A
+    delimiter the csv module rejects (anything but one character) raises
+    SchemaError before the file is opened. Undecodable bytes, unparseable
+    fields and ragged rows raise DataError, the latter two with the
+    offending line number; rows that parse to non-finite values are
+    dropped with a warning listing their indices.
     """
     try:
         csv.reader((), delimiter=delimiter)
@@ -84,7 +95,7 @@ def load_csv(
     if not path.exists():
         raise DataError(f"no such file: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     except UnicodeDecodeError as exc:
@@ -101,7 +112,7 @@ def load_csv(
         if not rows:
             raise DataError(f"{path}: header only, no data rows")
 
-    ncols = len(rows[0])
+    ncols = len(header if header is not None else rows[0])
     label_idx: int | None = None
     if label_column is not None:
         if isinstance(label_column, str):
@@ -211,6 +222,33 @@ def _training_rows(x) -> np.ndarray:
     return x
 
 
+def _check_hyper(k, eta, lam) -> None:
+    """The k, eta and lam checks of both hyperparameter dataclasses."""
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise DomainError(f"k must be an integer >= 1, got {k!r}")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise DomainError(f"eta must be positive and finite, got {eta}")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise DomainError(f"lam must be finite and >= 0, got {lam}")
+
+
+def _query_rows(x, dim: int, normalize: bool) -> np.ndarray:
+    """Rows of length dim to score, l2-normalized if the model was trained so."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise DimensionError(f"expected rows of length {dim}, got shape {x.shape}")
+    return l2_normalize(x) if normalize else x
+
+
+def _score_one(score_batch, model, x, dim: int) -> tuple[float, float]:
+    """(s1, s2) of one feature vector of length dim, via its family's batch scorer."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.shape[0] != dim:
+        raise DimensionError(f"expected a vector of length {dim}, got shape {x.shape}")
+    s1, s2 = score_batch(model, x[None, :])
+    return float(s1[0]), float(s2[0])
+
+
 def _check_model(eta_effective, arrays) -> None:
     """Checks shared by both trained-model dataclasses: a finite threshold
     > 0 (DomainError), and for each (name, array, shape) a finite array of
@@ -268,31 +306,33 @@ def one_class_split(
 def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
     """Generate a synthetic positive-class dataset.
 
-    Kinds:
-      gaussian  -- d-dimensional normal; params d (2), mean (0), cov (1.0
-                   scalar variance or a full covariance matrix)
+    Kinds, with the parameters each takes (defaults in SYNTH_PARAMS):
+      gaussian  -- d-dimensional normal; params d, mean, cov (scalar
+                   variance or a full covariance matrix)
       arbitrary -- 1-D curve pairs (x, sqrt(x) * (x + s*u)) with
                    x ~ Uniform(0, 2], s a random sign, u ~ Uniform[0, 1);
                    draw order is x, then signs, then u
-      ring      -- planar annulus; params r_in (0.7), r_out (1.0)
+      ring      -- planar annulus; params r_in, r_out
       ring3d    -- the same annulus with a uniform vertical thickness;
-                   params r_in, r_out, height (0.3)
+                   params r_in, r_out, height
+    A parameter the kind does not take raises DataError.
     """
     if kind not in SYNTH_KINDS:
         raise DataError(f"unknown synthetic kind {kind!r}; choose from {SYNTH_KINDS}")
     if n < 1:
         raise DataError(f"synth needs n >= 1, got {n}")
+    unknown = sorted(set(params) - set(SYNTH_PARAMS[kind]))
+    if unknown:
+        raise DataError(f"unknown parameters for synth kind {kind!r}: {unknown}")
+    params = {**SYNTH_PARAMS[kind], **params}
     rng = np.random.default_rng(seed)
 
     if kind == "gaussian":
-        d = int(params.pop("d", 2))
+        d = int(params["d"])
         if d < 1:
             raise DataError(f"gaussian synth needs d >= 1, got {d}")
-        mean = params.pop("mean", 0.0)
-        cov = params.pop("cov", 1.0)
-        _reject_extras(kind, params)
-        mean = np.broadcast_to(np.asarray(mean, dtype=np.float64), (d,))
-        cov_arr = np.asarray(cov, dtype=np.float64)
+        mean = np.broadcast_to(np.asarray(params["mean"], dtype=np.float64), (d,))
+        cov_arr = np.asarray(params["cov"], dtype=np.float64)
         if cov_arr.ndim == 0:
             x = mean + np.sqrt(float(cov_arr)) * rng.standard_normal((n, d))
         else:
@@ -302,7 +342,6 @@ def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
                 )
             x = rng.multivariate_normal(mean, cov_arr, size=n, method="cholesky")
     elif kind == "arbitrary":
-        _reject_extras(kind, params)
         # 2 - U[0, 2) lands in the half-open interval (0, 2].
         x1 = 2.0 - rng.uniform(0.0, 2.0, size=n)
         signs = np.sign(rng.standard_normal(n))
@@ -311,18 +350,14 @@ def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
         x2 = np.sqrt(x1) * (x1 + signs * u)
         x = np.column_stack([x1, x2])
     elif kind == "ring":
-        r_in = float(params.pop("r_in", 0.7))
-        r_out = float(params.pop("r_out", 1.0))
-        _reject_extras(kind, params)
+        r_in, r_out = float(params["r_in"]), float(params["r_out"])
         _check_ring(r_in, r_out)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
         radius = rng.uniform(r_in, r_out, size=n)
         x = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
     else:  # ring3d
-        r_in = float(params.pop("r_in", 0.7))
-        r_out = float(params.pop("r_out", 1.0))
-        height = float(params.pop("height", 0.3))
-        _reject_extras(kind, params)
+        r_in, r_out = float(params["r_in"]), float(params["r_out"])
+        height = float(params["height"])
         _check_ring(r_in, r_out)
         if height <= 0.0:
             raise DataError(f"ring3d height must be positive, got {height}")
@@ -332,11 +367,6 @@ def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
         x = np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z])
 
     return Dataset(features=x, labels=None, source=f"synth:{kind}:seed={seed}")
-
-
-def _reject_extras(kind: str, params: dict) -> None:
-    if params:
-        raise DataError(f"unknown parameters for synth kind {kind!r}: {sorted(params)}")
 
 
 def _check_ring(r_in: float, r_out: float) -> None:

@@ -24,12 +24,12 @@ point in place between calls.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_model, _training_rows, l2_normalize
+from .data import (_check_hyper, _check_model, _query_rows, _score_one,
+                   _training_rows, l2_normalize)
 from .errors import DimensionError, DomainError
 from .kernels import KernelSpec, ensure_pd, gram
 from .manifolds import GeneralizedStiefel, _GeneralizedStiefelPair, _gram_residual
@@ -62,12 +62,7 @@ class KodsHyper:
     normalize: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
-            raise DomainError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise DomainError(f"eta must be positive and finite, got {self.eta}")
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise DomainError(f"lam must be finite and >= 0, got {self.lam}")
+        _check_hyper(self.k, self.eta, self.lam)
 
 
 @dataclass
@@ -227,13 +222,7 @@ def kods_train(
 
 def kods_scores(model: KodsModel, x: np.ndarray) -> tuple[float, float]:
     """(s1, s2) for one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.support.shape[1]:
-        raise DimensionError(
-            f"expected a vector of length {model.support.shape[1]}, got shape {x.shape}"
-        )
-    s1, s2 = kods_scores_batch(model, x[None, :])
-    return float(s1[0]), float(s2[0])
+    return _score_one(kods_scores_batch, model, x, model.support.shape[1])
 
 
 def kods_scores_batch(model: KodsModel, x: np.ndarray):
@@ -244,13 +233,7 @@ def kods_scores_batch(model: KodsModel, x: np.ndarray):
     n_support x chunk cross-Gram, so the n_support x m one is never held
     whole. A row's scores do not depend on the chunk it falls in.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.support.shape[1]:
-        raise DimensionError(
-            f"expected rows of length {model.support.shape[1]}, got shape {x.shape}"
-        )
-    if model.normalization:
-        x = l2_normalize(x)
+    x = _query_rows(x, model.support.shape[1], model.normalization)
     z2 = model.duals.z * model.duals.z
     y2 = model.duals.y * model.duals.y
     s1 = np.empty(x.shape[0])

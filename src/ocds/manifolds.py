@@ -21,6 +21,9 @@ retract, transport (projection to the destination tangent space), inner
 bookkeeping), and random_point. Two diagnostics, feasibility and
 tangency, return scalar constraint residuals for testing and for
 post-training validation.
+
+Sphere is the one-column oblique manifold, with points stored as
+d-vectors; only its feasibility residual, |‖w‖ - 1|, is its own.
 """
 from __future__ import annotations
 
@@ -216,39 +219,6 @@ class Euclidean(Manifold):
         return 0.0
 
 
-class Sphere(Manifold):
-    """Unit vectors in R^d under the Euclidean norm."""
-
-    def __init__(self, d: int):
-        if d < 1:
-            raise DimensionError(f"Sphere needs d >= 1, got {d}")
-        self.d = int(d)
-        self.name = f"Sphere({d})"
-
-    def project_tangent(self, point, ambient):
-        a = self._expect(ambient, (self.d,), "ambient vector")
-        return a - float(point @ a) * point
-
-    def retract(self, point, tangent):
-        if _is_zero(tangent):
-            return point
-        v = point + tangent
-        nv = float(np.linalg.norm(v))
-        if nv <= 1e-12:
-            raise DegenerateStepError("sphere retraction hit the origin")
-        return v / nv
-
-    def random_point(self, seed):
-        v = _as_rng(seed).standard_normal(self.d)
-        return v / np.linalg.norm(v)
-
-    def feasibility(self, point) -> float:
-        return abs(float(np.linalg.norm(point)) - 1.0)
-
-    def tangency(self, point, tangent) -> float:
-        return abs(2.0 * float(point @ tangent))
-
-
 class Stiefel(Manifold):
     """d x K matrices with orthonormal columns, K <= d."""
 
@@ -288,10 +258,11 @@ class Oblique(Manifold):
         if d < 1 or k < 1:
             raise DimensionError(f"Oblique needs d, K >= 1, got d={d}, K={k}")
         self.d, self.k = int(d), int(k)
+        self.shape = (self.d, self.k)
         self.name = f"Oblique({d},{k})"
 
     def project_tangent(self, point, ambient):
-        a = self._expect(ambient, (self.d, self.k), "ambient matrix")
+        a = self._expect(ambient, self.shape, "ambient array")
         return a - point * (point * a).sum(axis=0)
 
     def retract(self, point, tangent):
@@ -304,7 +275,7 @@ class Oblique(Manifold):
         return v / norms
 
     def random_point(self, seed):
-        v = _as_rng(seed).standard_normal((self.d, self.k))
+        v = _as_rng(seed).standard_normal(self.shape)
         return v / np.linalg.norm(v, axis=0)
 
     def feasibility(self, point) -> float:
@@ -312,6 +283,21 @@ class Oblique(Manifold):
 
     def tangency(self, point, tangent) -> float:
         return float(np.linalg.norm(2.0 * (point * tangent).sum(axis=0)))
+
+
+class Sphere(Oblique):
+    """Unit vectors in R^d under the Euclidean norm: the one-column oblique
+    manifold, with points stored as d-vectors."""
+
+    def __init__(self, d: int):
+        if d < 1:
+            raise DimensionError(f"Sphere needs d >= 1, got {d}")
+        super().__init__(d, 1)
+        self.shape = (self.d,)
+        self.name = f"Sphere({d})"
+
+    def feasibility(self, point) -> float:
+        return abs(float(np.linalg.norm(point)) - 1.0)
 
 
 class PositiveVector(Manifold):

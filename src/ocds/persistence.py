@@ -129,7 +129,8 @@ def load_model(path):
         doc = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"model file {path} is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: brackets nested deeper than the parser's stack.
         raise SchemaError(f"model file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"model file {path}: top level must be an object")

@@ -24,14 +24,14 @@ response toward zero; bods instead couples its two hyperplanes through
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .data import _check_model, _training_rows, l2_normalize
+from .data import (_check_hyper, _check_model, _query_rows, _score_one,
+                   _training_rows, l2_normalize)
 from .errors import DataError, DimensionError, DomainError, NumericError
 from .manifolds import (
     Euclidean,
@@ -81,16 +81,11 @@ class GodsHyper:
         if v not in VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         self.variant = v
-        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
-            raise DomainError(f"k must be an integer >= 1, got {self.k!r}")
+        _check_hyper(self.k, self.eta, self.lam)
         if v == "bods" and self.k != 1:
             raise DomainError(f"bods uses a single hyperplane pair; k must be 1, got {self.k}")
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise DomainError(f"eta must be positive and finite, got {self.eta}")
         if not (math.isfinite(self.nu) and self.nu > 0.0):
             raise DomainError(f"nu must be positive and finite, got {self.nu}")
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise DomainError(f"lam must be finite and >= 0, got {self.lam}")
         if not (math.isfinite(self.p_norm) and self.p_norm >= 1.0):
             raise DomainError(f"p_norm must be finite and >= 1, got {self.p_norm}")
 
@@ -405,25 +400,13 @@ def train_primal(
 def primal_scores(model: TrainedPrimalModel, x: np.ndarray) -> tuple[float, float]:
     """(s1, s2) for one feature vector: the smallest lower-frame response
     and the largest upper-frame response."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.feature_dim:
-        raise DimensionError(
-            f"expected a vector of length {model.feature_dim}, got shape {x.shape}"
-        )
-    s1, s2 = primal_scores_batch(model, x[None, :])
-    return float(s1[0]), float(s2[0])
+    return _score_one(primal_scores_batch, model, x, model.feature_dim)
 
 
 def primal_scores_batch(model: TrainedPrimalModel, x: np.ndarray):
     """Vectorized (s1, s2) arrays over the rows of x. Applies the model's
     stored normalization; gods_n applies its diag(r) scaling first."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.feature_dim:
-        raise DimensionError(
-            f"expected rows of length {model.feature_dim}, got shape {x.shape}"
-        )
-    if model.normalization:
-        x = l2_normalize(x)
+    x = _query_rows(x, model.feature_dim, model.normalization)
     p1, p2 = _responses(model.frames, x)
     return p1.min(axis=1), p2.max(axis=1)
 

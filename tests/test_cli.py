@@ -1,5 +1,6 @@
 """End-to-end CLI contract: subcommands, files, exit codes."""
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,10 +10,14 @@ import pytest
 
 import ocds.primal
 from ocds.cli import _best_f1, main
-from ocds.data import load_csv, synth
+from ocds.data import SYNTH_PARAMS, load_csv, synth
 from ocds.inference import anomaly_score, compute_metrics
-from ocds.persistence import load_model, save_model
-from ocds.primal import FramePair, GodsHyper, TrainedPrimalModel, primal_scores_batch
+from ocds.kernels import KernelSpec
+from ocds.kods import KodsHyper, kods_train
+from ocds.persistence import data_fingerprint, load_model, save_model
+from ocds.primal import (FramePair, GodsHyper, TrainedPrimalModel, primal_scores_batch,
+                         train_primal)
+from ocds.solver import SolverConfig
 
 
 def _axis_model():
@@ -59,6 +64,21 @@ def test_train_is_byte_deterministic(workdir, tmp_path):
                "--k", "2", "--max-iters", "120", "--seed", "0", "--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == (workdir / "gods.json").read_bytes()
+
+
+@pytest.mark.parametrize("variant", ["gods", "kods"])
+def test_train_without_hyper_flags_uses_the_library_defaults(workdir, tmp_path, variant):
+    data, out = workdir / "gauss.csv", tmp_path / "cli.json"
+    flags = ["--variant", variant] if variant != GodsHyper.variant else []
+    assert main(["train", "--data", str(data), *flags, "--out", str(out)]) == 0
+    x = load_csv(data).features
+    if variant == "kods":
+        model, _ = kods_train(x, KernelSpec(), KodsHyper(), seed=0)
+    else:
+        model, _ = train_primal(x, GodsHyper(), seed=0)
+    lib = tmp_path / "lib.json"
+    save_model(model, lib, fingerprint={"seed": 0, "data_sha256": data_fingerprint(x)})
+    assert out.read_bytes() == lib.read_bytes()
 
 
 def test_train_missing_data_exits_1(tmp_path, capsys):
@@ -194,6 +214,16 @@ def test_predict_dimension_mismatch_exits_1(workdir, tmp_path):
     csv.write_text("1.0,2.0,3.0,4.0\n")
     rc = main(["predict", "--model", str(workdir / "gods.json"), "--data", str(csv)])
     assert rc == 1
+
+
+def test_predict_deeply_nested_model_exits_1(workdir, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    rc = main(["predict", "--model", str(deep), "--data", str(workdir / "gauss.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "input error: model file" in err
+    assert "Traceback" not in err
 
 
 def test_predict_non_utf8_model_exits_1(workdir, tmp_path, capsys):
@@ -366,6 +396,15 @@ def test_synth_rejects_unknown_kind(tmp_path):
     assert rc == 1
 
 
+def test_synth_rejects_a_flag_its_kind_does_not_take(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["synth", "--kind", "gaussian", "--n", "10", "--height", "0.5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "input error" in err and "height" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
@@ -474,6 +513,14 @@ def test_bench_non_object_config_exits_1(tmp_path, capsys):
     assert "top level must be an object" in capsys.readouterr().err
 
 
+def test_bench_deeply_nested_config_exits_1(tmp_path, capsys):
+    (tmp_path / "deep.json").write_text("[" * 5000 + "]" * 5000)
+    assert main(["bench-uci", "--config-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "input error: bad dataset config" in err
+    assert "Traceback" not in err
+
+
 def test_bench_non_numeric_kernel_parameter_exits_1(tmp_path, capsys):
     cfg = {"name": "x", "csv": "x.csv", "label_column": 0, "target": "a",
            "kernel": {"sigma": "abc"}}
@@ -563,6 +610,26 @@ def test_bad_flag_values_exit_1(workdir, tmp_path, capsys, case):
 
 def test_help_exits_0():
     assert main(["--help"]) == 0
+
+
+HELP_DEFAULTS = {
+    "train": [("--variant", GodsHyper.variant), ("--kernel", KernelSpec.family),
+              ("--sigma", KernelSpec.sigma), ("--degree", KernelSpec.degree),
+              ("--offset", KernelSpec.offset), ("--k", GodsHyper.k), ("--eta", GodsHyper.eta),
+              ("--nu", GodsHyper.nu), ("--lambda", GodsHyper.lam),
+              ("--p-norm", GodsHyper.p_norm), ("--max-iters", SolverConfig.max_iters)],
+    "synth": [(f"--{name.replace('_', '-')}", default)
+              for params in SYNTH_PARAMS.values() for name, default in params.items()],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DEFAULTS))
+def test_help_shows_the_library_defaults(capsys, command):
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, default in HELP_DEFAULTS[command]:
+        pattern = rf"{flag} \S+ [^()]*\(default: {re.escape(str(default))}[;)]"
+        assert re.search(pattern, text), (flag, default)
 
 
 def test_unknown_command_exits_1():

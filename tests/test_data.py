@@ -103,6 +103,19 @@ def test_load_ragged_line_numbers_account_for_header(tmp_path):
         load_csv(p, has_header=True)
 
 
+def test_load_header_wider_than_the_rows_names_the_first_row(tmp_path):
+    p = tmp_path / "wide.csv"
+    p.write_text("a,b,c,lab\n1,2\n3,4\n")
+    with pytest.raises(DataError, match="line 2 has 2 fields, expected 4"):
+        load_csv(p, label_column="lab", has_header=True)
+
+
+def test_load_drops_a_utf8_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+    np.testing.assert_array_equal(load_csv(p).features, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_load_unparseable_cell_names_line_and_column(tmp_path):
     p = tmp_path / "badcell.csv"
     p.write_text("1,2\n3,oops\n")

@@ -217,7 +217,8 @@ def test_retract_generalized_matches_eigh_inverse_sqrt_oracle():
 
 @pytest.mark.parametrize(
     "man",
-    [Sphere(3), Stiefel(3, 2), Oblique(3, 2), GeneralizedStiefel(4, 2, _pd_gram(4, 9))],
+    [Sphere(3), Stiefel(3, 2), Oblique(3, 2), Oblique(3, 1),
+     GeneralizedStiefel(4, 2, _pd_gram(4, 9))],
     ids=lambda m: m.name,
 )
 def test_retract_rank_deficient_step_raises(man):
@@ -225,6 +226,20 @@ def test_retract_rank_deficient_step_raises(man):
     minus_p = tree_map(lambda x: -x, p)
     with pytest.raises(DegenerateStepError):
         man.retract(p, minus_p)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 17])
+def test_sphere_is_the_one_column_oblique(d):
+    sphere, oblique = Sphere(d), Oblique(d, 1)
+    for seed in range(20):
+        p = sphere.random_point(seed)
+        np.testing.assert_array_equal(p[:, None], oblique.random_point(seed))
+        a = _random_ambient(p, seed + 100, 3.0)
+        t = sphere.project_tangent(p, a)
+        np.testing.assert_array_equal(t[:, None], oblique.project_tangent(p[:, None], a[:, None]))
+        np.testing.assert_array_equal(sphere.retract(p, t)[:, None],
+                                      oblique.retract(p[:, None], t[:, None]))
+        assert sphere.tangency(p, t) == oblique.tangency(p[:, None], t[:, None])
 
 
 def test_positive_vector_retract_is_multiplicative():
