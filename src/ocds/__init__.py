@@ -39,7 +39,6 @@ from .manifolds import (
     Euclidean,
     GeneralizedStiefel,
     Manifold,
-    NonCompactStiefel,
     Oblique,
     PositiveVector,
     Product,
@@ -71,7 +70,7 @@ __all__ = [
     "KernelSpec", "ensure_pd", "gram", "kernel_eval",
     "DualVars", "KodsHyper", "KodsModel", "kods_egrad", "kods_objective",
     "kods_scores", "kods_scores_batch", "kods_train", "recover_primal",
-    "Euclidean", "GeneralizedStiefel", "Manifold", "NonCompactStiefel", "Oblique",
+    "Euclidean", "GeneralizedStiefel", "Manifold", "Oblique",
     "PositiveVector", "Product", "Sphere", "Stiefel",
     "data_fingerprint", "load_model", "save_model",
     "FramePair", "GodsHyper", "TrainedPrimalModel", "bods_egrad", "bods_objective",

@@ -132,6 +132,14 @@ def _write_out(text: str, out, what: str) -> None:
 
 
 def cmd_train(args) -> int:
+    # A flag only the other model family takes would have no effect.
+    if args.variant == "kods":
+        foreign = set(_given(args, GodsHyper)) - {f.name for f in fields(KodsHyper)} - {"variant"}
+    else:
+        foreign = set(_given(args, KernelSpec))
+    if foreign:
+        flags = sorted("--kernel" if n == "family" else "--" + n.replace("_", "-") for n in foreign)
+        raise errors.SchemaError(f"--variant {args.variant} does not take {', '.join(flags)}")
     ds = _load_labeled(args, need_labels=False)
     x = _training_matrix(ds, args)
     cfg = SolverConfig(**_given(args, SolverConfig))
@@ -323,16 +331,6 @@ def _bench_one(ds: Dataset, target: str, seeds: int, kernel: KernelSpec):
     return np.asarray(gods_f1), np.asarray(kods_f1)
 
 
-def _kernel_from_config(doc: dict) -> KernelSpec:
-    ker = doc.get("kernel", {})
-    return KernelSpec(
-        family=ker.get("family", KernelSpec.family),
-        sigma=float(ker.get("sigma", KernelSpec.sigma)),
-        degree=int(ker.get("degree", KernelSpec.degree)),
-        offset=float(ker.get("offset", KernelSpec.offset)),
-    )
-
-
 def cmd_bench_uci(args) -> int:
     config_dir = Path(args.config_dir)
     if not config_dir.is_dir():
@@ -351,9 +349,10 @@ def cmd_bench_uci(args) -> int:
             csv_path = Path(doc["csv"])
             label_key = doc["label_column"]
             target_key = doc["target"]
-            kernel = _kernel_from_config(doc)
+            kernel = KernelSpec(**doc.get("kernel", {}))
         except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-            # ValueError covers bad JSON, bad numbers and bad kernel parameters;
+            # TypeError covers a kernel block that is not an object or has an
+            # unknown key; ValueError, bad JSON and bad kernel parameters;
             # RecursionError, JSON nested deeper than the parser's stack.
             raise errors.SchemaError(f"bad dataset config {cfg_path}: {exc}") from None
         if not csv_path.is_absolute():

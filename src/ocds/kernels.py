@@ -9,6 +9,7 @@ kernel_eval(spec, X[i], Y[j]) agree bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ _NONNEGATIVE_FAMILIES = ("chi2", "histogram")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus its parameters. Unused parameters are ignored."""
+    """Kernel family plus its parameters. Every parameter must be a number;
+    the family's own are range-checked, the others ignored."""
 
     family: str = "rbf"
     sigma: float = 0.1       # rbf bandwidth
@@ -38,11 +40,19 @@ class KernelSpec:
         if fam not in FAMILIES:
             raise DomainError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
         object.__setattr__(self, "family", fam)
+        for name in ("sigma", "degree", "offset"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"kernel {name} must be a number, got {value!r}")
         if fam == "rbf" and not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise DomainError(f"rbf kernel needs a finite sigma > 0, got {self.sigma}")
         if fam == "polynomial":
             deg = self.degree
-            if not (math.isfinite(deg) and deg >= 1 and int(deg) == deg):
+            try:
+                whole = math.isfinite(deg) and deg >= 1 and int(deg) == deg
+            except OverflowError:  # an integer too large for a float
+                whole = False
+            if not whole:
                 raise DomainError(f"polynomial degree must be an integer >= 1, got {self.degree}")
             if not (math.isfinite(self.offset) and self.offset >= 0.0):
                 raise DomainError(f"polynomial offset must be finite and >= 0, got {self.offset}")

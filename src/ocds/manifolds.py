@@ -1,15 +1,14 @@
 """Riemannian manifolds for frame-based one-class models.
 
-A point on a simple manifold is a numpy array; a point on a composite
-manifold (Product, NonCompactStiefel) is a tuple whose entries are the
-factor points. Every training path builds one flat Product of simple
-factors, so no trained point nests a tuple; NonCompactStiefel stays
-public but no training path uses it. Tangent vectors mirror the point
-structure exactly, and a point's ambient dimension is the total size of
-its arrays. All operations are pure: arguments are never mutated, and a
-zero tangent retracts to the identical point object so repeated
-zero-steps stay bit-stable. (GeneralizedStiefel memoizes one point's
-product with its gram, looked up by value, so results never depend on it.)
+A point on a simple manifold is a numpy array; only a Product point is a
+tuple, whose entries are the factor points. Every training path builds
+one flat Product of simple factors, so no trained point nests a tuple.
+Tangent vectors mirror the point structure exactly, and a point's ambient
+dimension is the total size of its arrays. All operations are pure:
+arguments are never mutated, and a zero tangent retracts to the identical
+point object so repeated zero-steps stay bit-stable. (GeneralizedStiefel
+memoizes one point's product with its gram, looked up by value, so
+results never depend on it.)
 
 KODS trains on _GeneralizedStiefelPair, a Product of one
 GeneralizedStiefel with itself whose operations stack the two frames and
@@ -22,8 +21,9 @@ bookkeeping), and random_point. Two diagnostics, feasibility and
 tangency, return scalar constraint residuals for testing and for
 post-training validation.
 
-Sphere is the one-column oblique manifold, with points stored as
-d-vectors; only its feasibility residual, |‖w‖ - 1|, is its own.
+Unit-norm drift has one measure, Oblique's ‖(‖w_j‖ - 1)_j‖. Sphere is the
+one-column oblique manifold with points stored as d-vectors, so on a
+sphere point that measure is |‖w‖ - 1|.
 """
 from __future__ import annotations
 
@@ -39,13 +39,11 @@ __all__ = [
     "Stiefel",
     "Oblique",
     "PositiveVector",
-    "NonCompactStiefel",
     "GeneralizedStiefel",
     "Product",
     "tree_map",
     "tree_leaves",
     "tree_dot",
-    "tree_norm",
     "tree_scale",
     "tree_axpy",
     "tree_copy",
@@ -80,10 +78,6 @@ def tree_leaves(tree) -> list[np.ndarray]:
 
 def tree_dot(a, b) -> float:
     return float(sum(np.vdot(x, y) for x, y in zip(tree_leaves(a), tree_leaves(b))))
-
-
-def tree_norm(a) -> float:
-    return float(np.sqrt(max(tree_dot(a, a), 0.0)))
 
 
 def tree_scale(a, s: float):
@@ -170,7 +164,7 @@ class Manifold:
         return tree_dot(t1, t2)
 
     def norm(self, point, t) -> float:
-        return tree_norm(t)
+        return float(np.sqrt(max(tree_dot(t, t), 0.0)))
 
     def random_point(self, seed):
         raise NotImplementedError
@@ -279,7 +273,7 @@ class Oblique(Manifold):
         return v / np.linalg.norm(v, axis=0)
 
     def feasibility(self, point) -> float:
-        return float(np.linalg.norm((point * point).sum(axis=0) - 1.0))
+        return float(np.linalg.norm(np.linalg.norm(point, axis=0) - 1.0))
 
     def tangency(self, point, tangent) -> float:
         return float(np.linalg.norm(2.0 * (point * tangent).sum(axis=0)))
@@ -295,9 +289,6 @@ class Sphere(Oblique):
         super().__init__(d, 1)
         self.shape = (self.d,)
         self.name = f"Sphere({d})"
-
-    def feasibility(self, point) -> float:
-        return abs(float(np.linalg.norm(point)) - 1.0)
 
 
 class PositiveVector(Manifold):
@@ -380,17 +371,6 @@ class Product(Manifold):
         return max(
             f.tangency(p, t) for f, p, t in zip(self.factors, point, tangent)
         )
-
-
-class NonCompactStiefel(Product):
-    """Frames with per-column positive scales: points are (Q, r) with Q on
-    Stiefel(d, K) and r a positive K-vector. The represented operator is
-    Q @ diag(r)."""
-
-    def __init__(self, d: int, k: int):
-        super().__init__(Stiefel(d, k), PositiveVector(k))
-        self.d, self.k = int(d), int(k)
-        self.name = f"NonCompactStiefel({d},{k})"
 
 
 class GeneralizedStiefel(Manifold):

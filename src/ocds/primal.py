@@ -39,7 +39,6 @@ from .manifolds import (
     Oblique,
     PositiveVector,
     Product,
-    Sphere,
     Stiefel,
 )
 from .solver import Objective, SolveReport, SolverConfig, minimize
@@ -320,23 +319,12 @@ class PrimalProblem:
 def _primal_geometry(d: int, hyper: GodsHyper):
     """(manifold, pack, unpack) of the variant's frames in dimension d.
 
-    A packed point is a flat tuple: bods packs its columns as unit vectors,
-    every other variant packs the FramePair fields in `names`, in order.
-    pack does not copy: neither the manifolds nor the solver mutate a point.
+    A packed point is a flat tuple of the FramePair fields in `names`, in
+    order. pack does not copy: neither the manifolds nor the solver mutate
+    a point.
     """
     k, variant = hyper.k, hyper.variant
-    if variant == "bods":
-        manifold = Product(Sphere(d), Euclidean(1), Sphere(d), Euclidean(1))
-
-        def pack(fr: FramePair):
-            return (fr.w1[:, 0], fr.b1, fr.w2[:, 0], fr.b2)
-
-        def unpack(pt) -> FramePair:
-            return FramePair(w1=pt[0][:, None], b1=pt[1], w2=pt[2][:, None], b2=pt[3])
-
-        return manifold, pack, unpack
-
-    frame = {"gods": Stiefel, "gods_n": Stiefel, "gods_o": Oblique,
+    frame = {"bods": Oblique, "gods": Stiefel, "gods_n": Stiefel, "gods_o": Oblique,
              "gods_e": Euclidean}[variant](d, k)
     names = ("w1", "b1", "w2", "b2")
     if variant == "gods_n":

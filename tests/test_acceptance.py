@@ -18,7 +18,6 @@ from ocds.kods import KodsHyper, build_kods_problem, kods_scores_batch, kods_tra
 from ocds.manifolds import (
     Euclidean,
     GeneralizedStiefel,
-    NonCompactStiefel,
     Oblique,
     PositiveVector,
     Product,
@@ -92,7 +91,6 @@ def test_criterion_2_manifold_invariants():
             Stiefel(5, 2),
             Oblique(4, 3),
             PositiveVector(3),
-            NonCompactStiefel(5, 2),
             GeneralizedStiefel(6, 2, a @ a.T / 6 + np.eye(6)),
             Product(Stiefel(4, 2), Euclidean(2)),
         ]

@@ -4,10 +4,12 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ocds.cli
 import ocds.primal
 from ocds.cli import _best_f1, main
 from ocds.data import SYNTH_PARAMS, load_csv, synth
@@ -162,6 +164,47 @@ def test_train_gods_n_scale_underflow_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "numeric error" in err and "Traceback" not in err
+
+
+def test_train_kods_huge_integer_degree_exits_1_without_traceback(workdir, tmp_path, capsys):
+    rc = main(["train", "--data", str(workdir / "gauss.csv"), "--variant", "kods",
+               "--kernel", "polynomial", "--degree", "1" + "0" * 400,
+               "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "input error" in err and "degree" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+FOREIGN_TRAIN_FLAGS = [
+    ("kods", ["--nu", "2"], "--nu"),
+    ("kods", ["--p-norm", "2"], "--p-norm"),
+    ("gods", ["--kernel", "rbf"], "--kernel"),
+    ("gods", ["--sigma", "0.5"], "--sigma"),
+    ("gods_n", ["--degree", "2"], "--degree"),
+    ("bods", ["--offset", "0.5"], "--offset"),
+]
+
+
+@pytest.mark.parametrize("variant, flags, name", FOREIGN_TRAIN_FLAGS,
+                         ids=[f"{v}{f[0]}" for v, f, _ in FOREIGN_TRAIN_FLAGS])
+def test_train_rejects_a_flag_its_family_does_not_take(workdir, tmp_path, capsys,
+                                                       variant, flags, name):
+    out = tmp_path / "m.json"
+    rc = main(["train", "--data", str(workdir / "gauss.csv"), "--variant", variant,
+               *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "input error" in err and name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["gods", "kods"])
+def test_train_takes_the_shared_flags_in_both_families(workdir, tmp_path, variant):
+    rc = main(["train", "--data", str(workdir / "gauss.csv"), "--variant", variant,
+               "--k", "1", "--eta", "0.2", "--lambda", "0.5", "--no-normalize",
+               "--max-iters", "3", "--seed", "1", "--out", str(tmp_path / "m.json")])
+    assert rc == 0
 
 
 def test_train_report_holds_the_accepted_steps(workdir):
@@ -527,6 +570,45 @@ def test_bench_non_numeric_kernel_parameter_exits_1(tmp_path, capsys):
     (tmp_path / "x.json").write_text(json.dumps(cfg))
     assert main(["bench-uci", "--config-dir", str(tmp_path)]) == 1
     assert "bad dataset config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel_text", [
+    '{"sgima": 0.5}',
+    '{"family": "polynomial", "degree": 1e999}',
+    '[1, 2]',
+    '"rbf"',
+    '{"family": "polynomial", "sigma": "abc"}',
+], ids=["misspelt-key", "infinite-degree", "list-block", "string-block", "text-sigma"])
+def test_bench_bad_kernel_block_exits_1(tmp_path, capsys, kernel_text):
+    cfg = ('{"name": "x", "csv": "x.csv", "label_column": 0, "target": "a", '
+           f'"kernel": {kernel_text}}}')
+    (tmp_path / "x.json").write_text(cfg)
+    assert main(["bench-uci", "--config-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "input error: bad dataset config" in err
+    assert "Traceback" not in err
+
+
+def test_shipped_bench_configs_parse_to_the_cubic_polynomial_kernel(tmp_path, monkeypatch):
+    # Each shipped config runs against a stand-in CSV, and the kernel that
+    # reaches the benchmark loop is recorded.
+    shipped = sorted((Path(__file__).resolve().parents[1] / "bench" / "uci").glob("*.json"))
+    assert shipped
+    (tmp_path / "data.csv").write_text("0.0\n")
+    for path in shipped:
+        doc = json.loads(path.read_text())
+        doc["csv"] = "data.csv"
+        (tmp_path / path.name).write_text(json.dumps(doc))
+    kernels = []
+
+    def bench_one(ds, target, seeds, kernel):
+        kernels.append(kernel)
+        return np.zeros(1), np.zeros(1)
+
+    monkeypatch.setattr(ocds.cli, "load_csv", lambda *args, **kwargs: None)
+    monkeypatch.setattr(ocds.cli, "_bench_one", bench_one)
+    assert main(["bench-uci", "--config-dir", str(tmp_path), "--seeds", "1"]) == 0
+    assert kernels == [KernelSpec("polynomial", 0.1, 3, 1.0)] * len(shipped)
 
 
 def test_bench_toy_dataset_end_to_end(tmp_path, capsys):

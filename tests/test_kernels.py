@@ -43,6 +43,10 @@ def test_spec_lowercases_family():
         {"family": "polynomial", "offset": float("inf")},
         {"family": 5},
         {"family": None},
+        {"family": "polynomial", "degree": 10**400},
+        {"family": "polynomial", "degree": True},
+        {"family": "polynomial", "sigma": "abc"},
+        {"family": "rbf", "offset": None},
     ],
 )
 def test_spec_rejects_bad_parameters(kwargs):

@@ -7,7 +7,6 @@ from ocds.errors import DegenerateStepError, DimensionError, PositiveDefiniteErr
 from ocds.manifolds import (
     Euclidean,
     GeneralizedStiefel,
-    NonCompactStiefel,
     Oblique,
     PositiveVector,
     Product,
@@ -38,7 +37,6 @@ def _make_manifolds():
         Stiefel(5, 2),
         Oblique(4, 3),
         PositiveVector(3),
-        NonCompactStiefel(5, 2),
         GeneralizedStiefel(6, 2, _pd_gram(6, 0)),
         Product(Stiefel(4, 2), Euclidean(2)),
     ]
@@ -249,16 +247,6 @@ def test_positive_vector_retract_is_multiplicative():
     out = man.retract(p, t)
     np.testing.assert_allclose(out, p * np.exp(t / p), rtol=1e-15)
     assert np.all(out > 0.0)
-
-
-def test_noncompact_stiefel_retract_keeps_scales_positive():
-    man = NonCompactStiefel(4, 2)
-    for seed in range(10):
-        p = man.random_point(seed)
-        t = _random_tangent(man, p, seed + 70, scale=3.0)
-        q, r = man.retract(p, t)
-        assert np.all(r > 0.0)
-        assert np.linalg.norm(q.T @ q - np.eye(2)) <= FEAS_TOL
 
 
 @pytest.mark.parametrize("man", MANIFOLDS, ids=IDS)

@@ -7,7 +7,6 @@ import pytest
 from ocds.data import synth
 from ocds.errors import DataError, DimensionError, DomainError, NumericError
 from ocds.inference import classify
-from ocds.manifolds import Euclidean, NonCompactStiefel, Product
 from ocds.primal import (
     VARIANTS,
     FramePair,
@@ -302,11 +301,12 @@ def test_bods_egrad_matches_finite_differences_at_biased_frames():
 # packed points
 
 
-@pytest.mark.parametrize("variant", ["gods", "gods_n", "gods_o", "gods_e"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_packed_point_is_flat_and_round_trips_without_copies(variant):
     x = np.random.default_rng(3).standard_normal((12, 4))
-    problem = build_primal_problem(x, GodsHyper(variant=variant, k=2, normalize=False))
-    frames = init_frames(x, 2)
+    k = 1 if variant == "bods" else 2
+    problem = build_primal_problem(x, GodsHyper(variant=variant, k=k, normalize=False))
+    frames = init_frames(x, k)
     names = ("w1", "b1", "w2", "b2")
     if variant == "gods_n":
         frames = replace(frames, r1=np.array([1.0, 2.0]), r2=np.array([3.0, 4.0]))
@@ -320,16 +320,11 @@ def test_packed_point_is_flat_and_round_trips_without_copies(variant):
     assert all(isinstance(leaf, np.ndarray) for leaf in grad) and len(grad) == len(names)
 
 
-def test_gods_n_point_draws_like_the_nested_noncompact_stiefel_point():
+def test_gods_n_point_is_a_flat_product_of_frame_scales_and_intercepts():
     problem = build_primal_problem(np.ones((3, 4)), GodsHyper(variant="gods_n", k=2))
     assert [f.name for f in problem.manifold.factors] == [
         "Stiefel(4,2)", "PositiveVector(2)", "Euclidean(2,)",
     ] * 2
-    nested = Product(NonCompactStiefel(4, 2), Euclidean(2), NonCompactStiefel(4, 2), Euclidean(2))
-    flat = problem.manifold.random_point(5)
-    (q1, r1), b1, (q2, r2), b2 = nested.random_point(5)
-    for got, want in zip(flat, (q1, r1, b1, q2, r2, b2)):
-        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +564,13 @@ def test_feasibility_gods_n_flags_nonpositive_scales():
 def test_feasibility_bods_measures_unit_norm_drift():
     model = _model("bods", [[2.0], [0.0]], [0.0], [[1.0], [0.0]], [0.0], k=1)
     assert abs(frame_feasibility(model) - 1.0) <= 1e-15
+
+
+def test_feasibility_gods_o_measures_column_norm_drift():
+    # Column norms 2 and 1 drift by (1, 0): the residual is the norm of the
+    # drift in the column norms, not in their squares (which would be 3).
+    model = _model("gods_o", [[2.0, 0.0], [0.0, 1.0]], [0.0, 0.0], np.eye(2), [0.0, 0.0], k=2)
+    assert frame_feasibility(model) == 1.0
 
 
 # ---------------------------------------------------------------------------
