@@ -131,14 +131,25 @@ def _write_out(text: str, out, what: str) -> None:
         sys.stdout.write(text)
 
 
+# The hyperparameter fields each variant reads; a flag for any other field
+# would have no effect.
+_PRIMAL = ("variant", "k", "eta", "nu", "normalize")
+_VARIANT_FIELDS = {
+    "bods": _PRIMAL,
+    "gods": _PRIMAL,
+    "gods_n": (*_PRIMAL, "lam", "p_norm"),
+    "gods_o": (*_PRIMAL, "lam"),
+    "gods_e": (*_PRIMAL, "lam"),
+    "kods": ("variant", *(f.name for f in fields(KodsHyper) + fields(KernelSpec))),
+}
+_FLAG_NAMES = {"family": "--kernel", "lam": "--lambda"}
+
+
 def cmd_train(args) -> int:
-    # A flag only the other model family takes would have no effect.
-    if args.variant == "kods":
-        foreign = set(_given(args, GodsHyper)) - {f.name for f in fields(KodsHyper)} - {"variant"}
-    else:
-        foreign = set(_given(args, KernelSpec))
+    given = set(_given(args, GodsHyper)) | set(_given(args, KernelSpec))
+    foreign = given - set(_VARIANT_FIELDS[args.variant])
     if foreign:
-        flags = sorted("--kernel" if n == "family" else "--" + n.replace("_", "-") for n in foreign)
+        flags = sorted(_FLAG_NAMES.get(n, "--" + n.replace("_", "-")) for n in foreign)
         raise errors.SchemaError(f"--variant {args.variant} does not take {', '.join(flags)}")
     ds = _load_labeled(args, need_labels=False)
     x = _training_matrix(ds, args)

@@ -7,6 +7,7 @@ across platforms.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numbers
 import warnings
@@ -37,6 +38,12 @@ SYNTH_PARAMS = {
     "ring3d": {"r_in": 0.7, "r_out": 1.0, "height": 0.3},
 }
 SYNTH_KINDS = tuple(SYNTH_PARAMS)
+
+# Values per string write_csv joins before writing it: at most ~100 KB of
+# text, under glibc's 128 KB mmap threshold. Larger blocks are mapped and
+# unmapped, which raises that threshold, and then a process that writes
+# 4000x60 rows peaks ~28 MB higher (seen at 2**15).
+_CSV_BLOCK_VALUES = 2**12
 
 
 @dataclass
@@ -181,15 +188,29 @@ def load_csv(
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write features (and labels, if present, as the last column) as UTF-8
-    CSV. Floats are written with repr so a load_csv round trip is bit-exact."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            if dataset.labels is not None:
-                row.append(str(dataset.labels[i]))
-            writer.writerow(row)
+    CSV. Floats are written with repr so a load_csv round trip is bit-exact.
+
+    The bytes are those csv.writer writes: repr never needs quoting, and
+    each distinct label is quoted by csv.writer itself. Rows are joined
+    into one string per block of about _CSV_BLOCK_VALUES values.
+    """
+    x = dataset.features
+    cells = labels = None
+    if dataset.labels is not None:
+        labels = [str(label) for label in dataset.labels]
+        cells = {}
+        for label in set(labels):
+            buf = io.StringIO()
+            csv.writer(buf).writerow(["", label])
+            cells[label] = buf.getvalue()[1:-2]  # drop the leading "," and the "\r\n"
+    step = max(1, _CSV_BLOCK_VALUES // x.shape[1])
+    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
+        for start in range(0, x.shape[0], step):
+            rows = [",".join(map(repr, row)) for row in x[start:start + step].tolist()]
+            if cells is not None:
+                rows = [f"{row},{cells[label]}"
+                        for row, label in zip(rows, labels[start:start + step])]
+            fh.write("".join(row + "\r\n" for row in rows))
 
 
 def l2_normalize(x: np.ndarray) -> np.ndarray:
@@ -199,9 +220,9 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
     if x.ndim != 2:
         raise DimensionError(f"l2_normalize expects a 2-D array, got shape {x.shape}")
     norms = np.linalg.norm(x, axis=1)
-    out = x.copy()
     nz = norms > 0.0
-    out[nz] = out[nz] / norms[nz, None]
+    # Dividing a zero row by 1 leaves it bit for bit as it was, -0.0 included.
+    out = x / np.where(nz, norms, 1.0)[:, None]
     zeros = int((~nz).sum())
     if zeros:
         warnings.warn(f"l2_normalize: {zeros} zero row(s) left unscaled", stacklevel=2)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import (_check_hyper, _check_model, _query_rows, _score_one,
                    _training_rows, l2_normalize)
-from .errors import DimensionError, DomainError
+from .errors import DataError, DimensionError, DomainError
 from .kernels import KernelSpec, ensure_pd, gram
 from .manifolds import GeneralizedStiefel, _GeneralizedStiefelPair, _gram_residual
 from .solver import Objective, SolveReport, SolverConfig, minimize
@@ -187,6 +187,15 @@ def kods_train(
     if n < hyper.k:
         raise DimensionError(f"k={hyper.k} exceeds the number of training rows {n}")
     xn = l2_normalize(x) if hyper.normalize else x
+    # Equal rows give equal Gram rows, so with fewer than k distinct rows
+    # only the jitter tells the k components apart and the fit ends in a
+    # degenerate polar step.
+    distinct = np.unique(xn, axis=0).shape[0]
+    if distinct < hyper.k:
+        raise DataError(
+            f"k={hyper.k} exceeds the number of distinct training rows "
+            f"{distinct}{' after normalization' if hyper.normalize else ''}"
+        )
 
     raw = gram(kernel, xn)
     gram_pd, eps = ensure_pd(raw)

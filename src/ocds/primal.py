@@ -20,6 +20,15 @@ that push the extreme responses past the margins, and the variant's
 penalty. The lead term is the mean squared response, which pulls every
 response toward zero; bods instead couples its two hyperplanes through
 (b1-b2)^2 - 2(b1-b2) - w1.w2. See gods_objective.
+
+Training and scoring share one response path, _responses, which returns
+the responses of both frames as one (2K, n) block: rows :K are W1's,
+rows K: are W2's, and each row is contiguous. A row's score is then a
+min or max down a column of K entries, taken as K elementwise passes
+over contiguous rows; on an (n, K) layout numpy reduces along a length-K
+inner axis, its slow path, which costs more than the product itself. The
+gradient folds the lead term and both hinges into one residual block of
+the same shape, so it takes one product with x for both frames.
 """
 from __future__ import annotations
 
@@ -127,13 +136,33 @@ class TrainedPrimalModel:
 # for any input, so finite-difference probes may step off the manifold.
 
 
-def _responses(frames: FramePair, x: np.ndarray):
+def _responses(frames: FramePair, x: np.ndarray) -> np.ndarray:
+    """Responses of both frames to the rows of x as one (2K, n) block
+    [W1 W2]^T x^T + [b1; b2], with gods_n's diag(r) applied first."""
     w1, w2 = frames.w1, frames.w2
     if frames.r1 is not None:
         w1 = w1 * frames.r1
     if frames.r2 is not None:
         w2 = w2 * frames.r2
-    return x @ w1 + frames.b1, x @ w2 + frames.b2
+    p = np.concatenate((w1, w2), axis=1).T @ x.T
+    p += np.concatenate((frames.b1, frames.b2))[:, None]
+    return p
+
+
+def _extremes(p: np.ndarray, k: int):
+    """Per row of x, the smallest lower-frame response and the largest
+    upper-frame response of a _responses block."""
+    return p[:k].min(axis=0), p[k:].max(axis=0)
+
+
+def _first_row_equal(block: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Per column, the lowest row index at which block equals value: the
+    argmin (argmax) of a column whose min (max) is value. argmin along
+    axis 0 is numpy's slow path; one compare per row is not."""
+    idx = np.full(block.shape[1], block.shape[0] - 1)
+    for row in range(block.shape[0] - 2, -1, -1):
+        idx[block[row] == value] = row
+    return idx
 
 
 def _check_training_inputs(frames: FramePair, x: np.ndarray, hyper: GodsHyper):
@@ -180,15 +209,16 @@ def gods_objective(frames: FramePair, x: np.ndarray, hyper: GodsHyper) -> float:
     """
     x = _check_training_inputs(frames, x, hyper)
     n = x.shape[0]
-    p1, p2 = _responses(frames, x)
+    p = _responses(frames, x)
     if hyper.variant == "bods":
         gap = float(frames.b1[0] - frames.b2[0])
         value = 0.5 * (gap * gap - 2.0 * gap) - float(frames.w1[:, 0] @ frames.w2[:, 0])
     else:
-        value = 0.5 / n * (float(np.sum(p1 * p1)) + float(np.sum(p2 * p2)))
-    h1 = np.maximum(hyper.eta - p1.min(axis=1), 0.0)
-    h2 = np.maximum(hyper.eta + p2.max(axis=1), 0.0)
-    value += 0.5 * hyper.nu / n * (float(np.sum(h1 * h1)) + float(np.sum(h2 * h2)))
+        value = 0.5 / n * float(np.vdot(p, p))
+    low, high = _extremes(p, hyper.k)
+    h1 = np.maximum(hyper.eta - low, 0.0)
+    h2 = np.maximum(hyper.eta + high, 0.0)
+    value += 0.5 * hyper.nu / n * (float(h1 @ h1) + float(h2 @ h2))
     if hyper.variant == "gods_n":
         value += 0.5 * hyper.lam * (
             _pnorm(frames.r1, hyper.p_norm) + _pnorm(frames.r2, hyper.p_norm)
@@ -208,26 +238,26 @@ def gods_egrad(frames: FramePair, x: np.ndarray, hyper: GodsHyper) -> FramePair:
     the r1/r2 slots.
     """
     x = _check_training_inputs(frames, x, hyper)
-    n = x.shape[0]
-    p1, p2 = _responses(frames, x)
+    n, k = x.shape[0], hyper.k
+    p = _responses(frames, x)
+    # One residual block for both frames: the lead term's p/n (bods has
+    # none), and each row's hinge on its extreme response, ties going to
+    # the lowest index as in argmin/argmax.
+    resid = np.zeros_like(p) if hyper.variant == "bods" else p / n
+    low, high = _extremes(p, k)
+    h1 = np.maximum(hyper.eta - low, 0.0)
+    h2 = np.maximum(hyper.eta + high, 0.0)
+    cols = np.arange(n)
+    c = hyper.nu / n
+    resid[_first_row_equal(p[:k], low), cols] -= c * h1
+    resid[k + _first_row_equal(p[k:], high), cols] += c * h2
+    dw = (resid @ x).T
+    db = resid.sum(axis=1)
+    dw1, db1, dw2, db2 = dw[:, :k], db[:k], dw[:, k:], db[k:]
     if hyper.variant == "bods":
         gap = float(frames.b1[0] - frames.b2[0])
-        dw1, db1 = -frames.w2, np.array([gap - 1.0])
-        dw2, db2 = -frames.w1, np.array([-gap + 1.0])
-    else:
-        dw1, db1 = x.T @ p1 / n, p1.sum(axis=0) / n
-        dw2, db2 = x.T @ p2 / n, p2.sum(axis=0) / n
-    # Each row's hinge lands on its extreme column; argmin/argmax break
-    # ties toward the lowest index.
-    a = np.zeros_like(p1)
-    a[np.arange(n), p1.argmin(axis=1)] = np.maximum(hyper.eta - p1.min(axis=1), 0.0)
-    b = np.zeros_like(p2)
-    b[np.arange(n), p2.argmax(axis=1)] = np.maximum(hyper.eta + p2.max(axis=1), 0.0)
-    c = hyper.nu / n
-    dw1 = dw1 - c * (x.T @ a)
-    db1 = db1 - c * a.sum(axis=0)
-    dw2 = dw2 + c * (x.T @ b)
-    db2 = db2 + c * b.sum(axis=0)
+        dw1, db1 = dw1 - frames.w2, db1 + (gap - 1.0)
+        dw2, db2 = dw2 - frames.w1, db2 - (gap - 1.0)
 
     if hyper.variant == "gods_n":
         dq1 = dw1 * frames.r1
@@ -395,8 +425,7 @@ def primal_scores_batch(model: TrainedPrimalModel, x: np.ndarray):
     """Vectorized (s1, s2) arrays over the rows of x. Applies the model's
     stored normalization; gods_n applies its diag(r) scaling first."""
     x = _query_rows(x, model.feature_dim, model.normalization)
-    p1, p2 = _responses(model.frames, x)
-    return p1.min(axis=1), p2.max(axis=1)
+    return _extremes(_responses(model.frames, x), model.hyper.k)
 
 
 def frame_feasibility(model: TrainedPrimalModel) -> float:

@@ -183,6 +183,12 @@ FOREIGN_TRAIN_FLAGS = [
     ("gods", ["--sigma", "0.5"], "--sigma"),
     ("gods_n", ["--degree", "2"], "--degree"),
     ("bods", ["--offset", "0.5"], "--offset"),
+    ("gods", ["--lambda", "5"], "--lambda"),
+    ("bods", ["--lambda", "5"], "--lambda"),
+    ("gods", ["--p-norm", "2"], "--p-norm"),
+    ("bods", ["--p-norm", "2"], "--p-norm"),
+    ("gods_o", ["--p-norm", "2"], "--p-norm"),
+    ("gods_e", ["--p-norm", "2"], "--p-norm"),
 ]
 
 
@@ -202,9 +208,32 @@ def test_train_rejects_a_flag_its_family_does_not_take(workdir, tmp_path, capsys
 @pytest.mark.parametrize("variant", ["gods", "kods"])
 def test_train_takes_the_shared_flags_in_both_families(workdir, tmp_path, variant):
     rc = main(["train", "--data", str(workdir / "gauss.csv"), "--variant", variant,
-               "--k", "1", "--eta", "0.2", "--lambda", "0.5", "--no-normalize",
+               "--k", "1", "--eta", "0.2", "--no-normalize",
                "--max-iters", "3", "--seed", "1", "--out", str(tmp_path / "m.json")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("variant, flags", [
+    ("gods_n", ["--lambda", "0.5", "--p-norm", "2"]),
+    ("gods_o", ["--lambda", "0.5"]),
+    ("gods_e", ["--lambda", "0.5"]),
+    ("kods", ["--lambda", "0.5"]),
+])
+def test_train_takes_the_penalty_flags_its_variant_reads(workdir, tmp_path, variant, flags):
+    rc = main(["train", "--data", str(workdir / "gauss.csv"), "--variant", variant,
+               "--k", "1", *flags, "--max-iters", "3", "--out", str(tmp_path / "m.json")])
+    assert rc == 0
+
+
+def test_train_kods_k_above_the_distinct_row_count_exits_1(tmp_path, capsys):
+    csv = tmp_path / "same.csv"
+    csv.write_text("0.5,1.0\n" * 6)
+    rc = main(["train", "--data", str(csv), "--variant", "kods", "--k", "2",
+               "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "input error" in err and "k=2" in err and "distinct training rows 1" in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_train_report_holds_the_accepted_steps(workdir):
@@ -667,7 +696,7 @@ BAD_FLAGS = {
     "eta inf": lambda w, t: _gods(w, t, "--eta", "inf"),
     "nu nan": lambda w, t: _gods(w, t, "--nu", "nan"),
     "p-norm nan": lambda w, t: _gods(w, t, "--variant", "gods_n", "--p-norm", "nan"),
-    "lambda nan": lambda w, t: _gods(w, t, "--lambda", "nan"),
+    "lambda nan": lambda w, t: _gods(w, t, "--variant", "gods_e", "--lambda", "nan"),
     "kods eta nan": lambda w, t: _kods(w, t, "--eta", "nan"),
     "offset nan": lambda w, t: _kods(w, t, "--kernel", "polynomial", "--offset", "nan"),
     "sigma inf": lambda w, t: _kods(w, t, "--sigma", "inf"),

@@ -1,4 +1,6 @@
 """CSV ingestion, row normalization, one-class splits, synthetic sets."""
+import csv
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,41 @@ def test_round_trip_writes_utf8_labels(tmp_path):
     assert list(load_csv(p, label_column=-1).labels) == ["\u00e9t\u00e9"]
 
 
+def _csv_writer_bytes(features, labels, path):
+    """The bytes csv.writer writes for the rows write_csv documents."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for i, row in enumerate(features):
+            cells = [repr(float(v)) for v in row]
+            if labels is not None:
+                cells.append(str(labels[i]))
+            writer.writerow(cells)
+    return path.read_bytes()
+
+
+WRITE_LABELS = ["in", "", "a,b", 'say "hi"', "two\nlines", "cr\r", " padded ",
+                "\u00e9t\u00e9", "1.5", "'q'", 7]
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+@pytest.mark.parametrize("n", [40, 12000])  # one block; two, the last one partial
+def test_write_csv_bytes_equal_csv_writer(tmp_path, labeled, n):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    x[0] = [np.nan, np.inf, -np.inf]
+    x[1] = [-0.0, 0.0, 5e-324]
+    x[2] = [2.2250738585072014e-308 / 3.0, -1e-320, np.finfo(np.float64).max]
+    labels = None
+    if labeled:
+        labels = np.array([WRITE_LABELS[i % len(WRITE_LABELS)] for i in range(n)],
+                          dtype=object)
+    ds = Dataset(features=np.ones((n, 3)), labels=labels)
+    ds.features = x  # non-finite values cannot come through Dataset's check
+    write_csv(ds, tmp_path / "w.csv")
+    want = _csv_writer_bytes(x, labels, tmp_path / "ref.csv")
+    assert (tmp_path / "w.csv").read_bytes() == want
+
+
 def test_round_trip_with_labels_first(tmp_path):
     a, b = 1.0 / 3.0, 2.0 / 7.0
     p = tmp_path / "rtf.csv"
@@ -240,6 +277,30 @@ def test_l2_normalize_leaves_zero_rows_and_warns():
     with pytest.warns(UserWarning, match="1 zero row"):
         out = l2_normalize(x)
     np.testing.assert_array_equal(out[0], [0.0, 0.0])
+
+
+def _masked_l2_normalize(x):
+    """Row normalization by masked fancy indexing: zero rows are skipped."""
+    norms = np.linalg.norm(x, axis=1)
+    out = x.copy()
+    nz = norms > 0.0
+    out[nz] = out[nz] / norms[nz, None]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(4000, 60), (2000, 60), (20000, 2), (500, 20)])
+def test_l2_normalize_bit_equals_the_masked_form(shape):
+    rng = np.random.default_rng(6)
+    # Row scales from 1e-100 to 1e100: no squared norm under- or overflows.
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100, (shape[0], 1))
+    x[::7] = 0.0
+    x[3::11] = -0.0
+    x[1, 0] = 5e-324
+    zeros = len(set(range(0, shape[0], 7)) | set(range(3, shape[0], 11)))
+    with pytest.warns(UserWarning, match=f"l2_normalize: {zeros} zero row\\(s\\) left unscaled"):
+        out = l2_normalize(x)
+    assert out.tobytes() == _masked_l2_normalize(x).tobytes()
+    assert np.signbit(out[3::11]).all()  # -0.0 rows keep their sign
 
 
 def test_l2_normalize_rejects_vectors():

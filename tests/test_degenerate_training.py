@@ -4,7 +4,7 @@ trace and feasible frames or duals."""
 import numpy as np
 import pytest
 
-from ocds.errors import DegenerateStepError
+from ocds.errors import DataError
 from ocds.kernels import KernelSpec
 from ocds.kods import KodsHyper, kods_feasibility, kods_scores_batch, kods_train
 from ocds.primal import VARIANTS, GodsHyper, frame_feasibility, primal_scores_batch, train_primal
@@ -84,8 +84,16 @@ def test_kods_fit_on_degenerate_data(make, normalize):
 
 @pytest.mark.filterwarnings("ignore:l2_normalize")
 @pytest.mark.parametrize("normalize", [True, False])
-def test_kods_with_k_above_1_on_identical_rows_is_a_numeric_error(normalize):
-    # The Gram is rank one plus jitter, so the start point has no k = 2
-    # G-orthonormal polar factor; the fit fails with the package's error.
-    with pytest.raises(DegenerateStepError):
+def test_kods_with_k_above_the_distinct_row_count_is_a_data_error(normalize):
+    # The Gram is rank one plus jitter, so no fit could tell k = 2
+    # components apart; the data is refused before the fit starts.
+    with pytest.raises(DataError, match=r"k=2 exceeds the number of distinct training rows 1"):
         kods_train(np.zeros((30, D)), RBF, KodsHyper(k=2, normalize=normalize), CFG)
+
+
+def test_kods_counts_distinct_rows_after_normalization():
+    # Rows that differ only in scale are one row once normalized.
+    x = np.outer(np.linspace(0.5, 1.5, 30), np.full(D, 0.5))
+    kods_train(x, RBF, KodsHyper(k=2, normalize=False), CFG)
+    with pytest.raises(DataError, match="distinct training rows 1 after normalization"):
+        kods_train(x, RBF, KodsHyper(k=2, normalize=True), CFG)
