@@ -173,6 +173,10 @@ def cmd_train(args) -> int:
         "iterations": report.iterations,
         "converged": report.converged,
         "stop_reason": report.stop_reason,
+        "cost_evals": report.cost_evals,
+        "grad_evals": report.grad_evals,
+        "retractions": report.retractions,
+        "feasibility": report.feasibility,
         "wall_time": report.wall_time,
         "objective_trace": report.objective_trace,
         "grad_norm_trace": report.grad_norm_trace,

@@ -219,10 +219,20 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"l2_normalize expects a 2-D array, got shape {x.shape}")
-    norms = np.linalg.norm(x, axis=1)
+    with np.errstate(over="ignore"):
+        sq = x * x
+    norms = np.sqrt(sq.sum(axis=1))  # np.linalg.norm(x, axis=1), bit for bit
     nz = norms > 0.0
     # Dividing a zero row by 1 leaves it bit for bit as it was, -0.0 included.
-    out = x / np.where(nz, norms, 1.0)[:, None]
+    out = np.divide(x, np.where(nz, norms, 1.0)[:, None], out=sq)
+    # A nonzero row whose squared norm under- or overflows is first divided
+    # by its largest magnitude; every other row keeps the quotient above.
+    if not (nz.all() and norms.max(initial=0.0) < np.inf):
+        suspect = np.flatnonzero(~nz | np.isinf(norms))
+        redo = suspect[x[suspect].any(axis=1)]
+        rows = x[redo] / np.abs(x[redo]).max(axis=1, keepdims=True, initial=0.0)
+        out[redo] = rows / np.linalg.norm(rows, axis=1)[:, None]
+        nz[redo] = True
     zeros = int((~nz).sum())
     if zeros:
         warnings.warn(f"l2_normalize: {zeros} zero row(s) left unscaled", stacklevel=2)

@@ -14,7 +14,21 @@ accepted steps are small stops paying for the halvings down to them on
 every iteration (Manopt's ``linesearch_adaptive``; Absil, Mahony &
 Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008, ch. 4).
 The first search starts at 1. Every accepted step is a power of two in
-(0, 1], and ``SolveReport.step_trace`` records them.
+(0, 1], and ``SolveReport.step_trace`` records them. A trial is accepted
+only if it also lowers the cost strictly, so a step too small to change a
+float64 objective ends the run as a stall rather than as a null step.
+
+Unless a line search stalls, a run stops on the first of three tests,
+checked after each accepted step: the gradient norm reaches ``grad_tol``
+("grad_tol"); the last ``_PROGRESS_WINDOW`` iterations gained at most
+``_PROGRESS_RTOL`` of the total drop so far, f[t-W] - f[t] <= RTOL *
+(f[0] - f[t]) ("progress"); or the iteration budget runs out
+("max_iters"). The primal hinge is nonsmooth and the KODS gradient is
+G^-1-scaled, so on both the gradient norm alone rarely ends a fit (Boumal,
+*An Introduction to Optimization on Smooth Manifolds*, 2023, ch. 4). The
+progress test reads only the objective trace so far, so a run capped at N
+iterations reproduces the first N + 1 trace entries of an uncapped run bit
+for bit.
 """
 from __future__ import annotations
 
@@ -40,6 +54,10 @@ from .manifolds import (
 __all__ = ["Objective", "SolverConfig", "SolveReport", "minimize", "fd_gradient_check"]
 
 _ARMIJO_C = 1e-4
+# The relative-decrease stop: end the run once the last _PROGRESS_WINDOW
+# iterations together gained at most _PROGRESS_RTOL of the total drop.
+_PROGRESS_WINDOW = 20
+_PROGRESS_RTOL = 1e-4
 # A line search halves at most 60 times from its start step. From step 1.0
 # that reaches ~8.7e-19, below which no float64 objective can register a
 # decrease, so we report a stall.
@@ -74,58 +92,75 @@ class SolveReport:
     wall_time: float = 0.0
     step_trace: list[float] = field(default_factory=list)
     # Why the run ended: "grad_tol" (the gradient norm reached grad_tol),
-    # "max_iters" (the iteration budget ran out) or "stall" (no descent
-    # step was found from the last iterate).
+    # "progress" (the last _PROGRESS_WINDOW iterations gained at most
+    # _PROGRESS_RTOL of the total drop), "max_iters" (the iteration budget
+    # ran out) or "stall" (no descent step was found from the last iterate).
     stop_reason: str = ""
+    # Calls the run made: cost evaluations and retractions (line-search
+    # trials, degenerate ones included).
+    cost_evals: int = 0
+    retractions: int = 0
+    # manifold.feasibility of the returned point.
+    feasibility: float = 0.0
 
     @property
     def iterations(self) -> int:
         return len(self.step_trace)  # each iteration accepts one step
 
     @property
+    def grad_evals(self) -> int:
+        return len(self.objective_trace)  # one gradient at each point traced
+
+    @property
     def converged(self) -> bool:
-        return self.stop_reason == "grad_tol"
+        return self.stop_reason in ("grad_tol", "progress")
 
 
-def _line_search(obj, manifold, point, direction, f0, slope, step):
+def _line_search(obj, manifold, point, direction, f0, slope, step, counts):
     """Backtracking Armijo search along a tangent direction, starting at
-    the given step and halving it on each rejection.
+    the given step and halving it on each rejection. A trial is accepted
+    when its cost passes the Armijo test and is strictly below f0.
 
     Returns (new_point, new_cost, accepted_step) or None when 60 halvings
-    fail to find sufficient decrease, or the step underflows to zero (a zero
-    step would pass the test without moving). Degenerate retractions and
-    non-finite trial costs count as rejections, not errors.
+    fail to find a strict sufficient decrease, or the step underflows to
+    zero. Degenerate retractions and non-finite trial costs count as
+    rejections, not errors. Each retraction and cost evaluation is added to
+    counts.
     """
     for _ in range(_MAX_HALVINGS):
         if step == 0.0:
             break
+        counts["retractions"] += 1
         try:
             candidate = manifold.retract(point, tree_scale(direction, step))
         except DegenerateStepError:
             step *= 0.5
             continue
+        counts["cost_evals"] += 1
         fc = float(obj.cost(candidate))
-        if np.isfinite(fc) and fc <= f0 + _ARMIJO_C * step * slope:
+        if np.isfinite(fc) and fc < f0 and fc <= f0 + _ARMIJO_C * step * slope:
             return candidate, fc, step
         step *= 0.5
     return None
 
 
-def _descend(obj, manifold, point, f, egrad, grad, direction, step=1.0):
+def _descend(obj, manifold, point, f, egrad, grad, direction, step=1.0, counts=None):
     """One Armijo step along the conjugate direction, if there is one (not
     None) and it succeeds, else along -grad; both searches start at the
     given step. Returns (new point, new cost, direction taken, accepted
-    step), or None when neither gives a descent step.
+    step), or None when neither gives a descent step. Calls are tallied in
+    counts when it is given.
 
     The slope of cost(retract(point, s*d)) at s = 0 is tree_dot(egrad, d):
     the retraction curve leaves with velocity d, so the chain rule pairs the
     ambient gradient with the direction. Only descent directions are tried.
     """
+    counts = {"retractions": 0, "cost_evals": 0} if counts is None else counts
     for d in ([direction] if direction is not None else []) + [None]:
         d = tree_scale(grad, -1.0) if d is None else d
         slope = tree_dot(egrad, d)
         if slope < 0.0:
-            hit = _line_search(obj, manifold, point, d, f, slope, step)
+            hit = _line_search(obj, manifold, point, d, f, slope, step, counts)
             if hit is not None:
                 new_point, new_f, accepted = hit
                 return new_point, new_f, d, accepted
@@ -140,7 +175,9 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
     reported condition, not an exception: the best iterate found so far
     comes back with converged=False and stop_reason "stall". Non-finite
     cost or gradient values at an accepted iterate raise NumericError
-    naming the iterate.
+    naming the iterate. The report counts the cost and gradient
+    evaluations and the retractions made, and holds the returned point's
+    manifold.feasibility.
     """
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
@@ -159,12 +196,13 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
     trace = [f]
     gtrace = [gnorm]
     steps: list[float] = []
+    counts = {"cost_evals": 1, "retractions": 0}
     stop_reason = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
     direction = None  # no conjugate direction: the next step is steepest descent
 
     while stop_reason == "max_iters" and len(steps) < cfg.max_iters:
         start_step = min(1.0, 2.0 * steps[-1]) if steps else 1.0
-        hit = _descend(obj, manifold, point, f, egrad, grad, direction, start_step)
+        hit = _descend(obj, manifold, point, f, egrad, grad, direction, start_step, counts)
         if hit is None:
             stop_reason = "stall"  # report what we have
             break
@@ -184,6 +222,10 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
         if gnorm <= cfg.grad_tol:
             stop_reason = "grad_tol"
             break
+        if (len(steps) >= _PROGRESS_WINDOW
+                and trace[-1 - _PROGRESS_WINDOW] - f <= _PROGRESS_RTOL * (trace[0] - f)):
+            stop_reason = "progress"
+            break
 
         denom = prev_gnorm * prev_gnorm
         if len(steps) % restart_every == 0 or denom <= 0.0:
@@ -197,7 +239,8 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
 
     return point, SolveReport(objective_trace=trace, grad_norm_trace=gtrace,
                               wall_time=time.perf_counter() - start,
-                              step_trace=steps, stop_reason=stop_reason)
+                              step_trace=steps, stop_reason=stop_reason,
+                              feasibility=manifold.feasibility(point), **counts)
 
 
 def fd_gradient_check(obj: Objective, point) -> float:

@@ -247,9 +247,41 @@ def test_train_report_holds_the_accepted_steps(workdir):
 
 def test_train_report_says_why_the_fit_stopped(workdir):
     report = json.loads((workdir / "gods.json.report.json").read_text())
-    assert report["stop_reason"] in ("grad_tol", "max_iters", "stall")
-    assert report["converged"] == (report["stop_reason"] == "grad_tol")
+    assert report["stop_reason"] in ("grad_tol", "progress", "max_iters", "stall")
+    assert report["converged"] == (report["stop_reason"] in ("grad_tol", "progress"))
     assert "stop_reason" not in (workdir / "gods.json").read_text()
+
+
+_CALL_FIELDS = ("cost_evals", "grad_evals", "retractions", "feasibility")
+
+
+def test_train_report_holds_the_call_counts_and_feasibility(workdir):
+    report = json.loads((workdir / "gods.json.report.json").read_text())
+    assert report["grad_evals"] == report["iterations"] + 1
+    assert report["cost_evals"] - 1 <= report["retractions"]
+    assert report["retractions"] >= report["iterations"]
+    assert 0.0 <= report["feasibility"] <= 1e-8
+    text = (workdir / "gods.json").read_text()
+    assert not any(f'"{name}"' in text for name in _CALL_FIELDS)
+
+
+def test_the_model_file_does_not_depend_on_the_report(workdir, tmp_path, monkeypatch):
+    args = ["train", "--data", str(workdir / "gauss.csv"), "--variant", "gods",
+            "--k", "2", "--max-iters", "120", "--seed", "0"]
+    train = ocds.cli.train_primal
+
+    def other_report(*a, **kw):
+        model, report = train(*a, **kw)
+        return model, replace(report, objective_trace=report.objective_trace[:1],
+                              cost_evals=0, retractions=0, feasibility=1.0)
+
+    monkeypatch.setattr(ocds.cli, "train_primal", other_report)
+    assert main([*args, "--out", str(tmp_path / "m.json")]) == 0
+    changed = json.loads((tmp_path / "m.json.report.json").read_text())
+    ours = json.loads((workdir / "gods.json.report.json").read_text())
+    assert [changed[n] for n in _CALL_FIELDS] == [0, 1, 0, 1.0]
+    assert [ours[n] for n in _CALL_FIELDS] != [0, 1, 0, 1.0]
+    assert (tmp_path / "m.json").read_bytes() == (workdir / "gods.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

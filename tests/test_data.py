@@ -1,5 +1,6 @@
 """CSV ingestion, row normalization, one-class splits, synthetic sets."""
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,17 @@ def test_l2_normalize_bit_equals_the_masked_form(shape):
         out = l2_normalize(x)
     assert out.tobytes() == _masked_l2_normalize(x).tobytes()
     assert np.signbit(out[3::11]).all()  # -0.0 rows keep their sign
+
+
+def test_l2_normalize_rescales_rows_whose_squared_norm_under_or_overflows():
+    # (3e-170)^2 underflows to 0 and (3e160)^2 overflows to inf; both rows
+    # are divided by their largest entry first, the middle row is untouched
+    x = np.array([[3e-170, 4e-170], [1.0, 0.0], [3e160, 4e160]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = l2_normalize(x)
+    np.testing.assert_allclose(out, [[0.6, 0.8], [1.0, 0.0], [0.6, 0.8]], rtol=1e-15)
+    assert out[1].tobytes() == np.array([1.0, 0.0]).tobytes()
 
 
 def test_l2_normalize_rejects_vectors():

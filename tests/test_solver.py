@@ -7,10 +7,12 @@ import pytest
 
 import ocds.kods
 from ocds.data import synth
-from ocds.errors import DomainError, NumericError
+from ocds.errors import DegenerateStepError, DomainError, NumericError
 from ocds.kernels import KernelSpec
 from ocds.manifolds import Euclidean, Product, Sphere, Stiefel, tree_dot
+from ocds.primal import GodsHyper, train_primal
 from ocds.solver import (
+    _PROGRESS_WINDOW,
     Objective,
     SolveReport,
     SolverConfig,
@@ -206,6 +208,39 @@ def test_a_kods_ring_fit_spends_few_cost_evaluations_per_iteration(monkeypatch):
     assert (len(calls) - 1) / report.iterations <= 4.0
 
 
+def test_a_kods_fit_reports_the_calls_a_counting_wrapper_sees(monkeypatch):
+    calls = {"cost": 0, "egrad": 0, "retract": 0}
+    built = []
+    build = ocds.kods.build_kods_problem
+
+    def counting_build(*args, **kwargs):
+        manifold, obj = build(*args, **kwargs)
+        retract = manifold.retract
+
+        def counted(key, fn):
+            def call(*a):
+                calls[key] += 1
+                return fn(*a)
+            return call
+
+        manifold.retract = counted("retract", retract)
+        built.append(manifold)
+        return manifold, Objective(cost=counted("cost", obj.cost),
+                                   egrad=counted("egrad", obj.egrad))
+
+    monkeypatch.setattr(ocds.kods, "build_kods_problem", counting_build)
+    x = synth("ring", 200, seed=0).features
+    model, report = ocds.kods.kods_train(
+        x, KernelSpec(family="rbf", sigma=0.06), ocds.kods.KodsHyper(k=2, normalize=False),
+        SolverConfig(max_iters=60), seed=0,
+    )
+    assert report.iterations > 0
+    assert (report.cost_evals, report.grad_evals, report.retractions) == (
+        calls["cost"], calls["egrad"], calls["retract"])
+    assert report.feasibility == built[0].feasibility((model.duals.y, model.duals.z))
+    assert report.feasibility <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # report contract
 
@@ -270,8 +305,9 @@ def test_stop_reason_max_iters_when_the_budget_runs_out():
 
 
 def test_report_counts_and_convergence_derive_from_the_traces():
-    report = SolveReport(step_trace=[1.0, 0.5], stop_reason="grad_tol")
-    assert report.iterations == 2 and report.converged
+    for reason in ("grad_tol", "progress"):
+        report = SolveReport(step_trace=[1.0, 0.5], stop_reason=reason)
+        assert report.iterations == 2 and report.converged
     for reason in ("max_iters", "stall"):
         report = SolveReport(step_trace=[1.0], stop_reason=reason)
         assert report.iterations == 1 and not report.converged
@@ -280,7 +316,38 @@ def test_report_counts_and_convergence_derive_from_the_traces():
     _, obj = _rayleigh_problem(seed=5)
     _, report = minimize(obj, Sphere(5), Sphere(5).random_point(8))
     assert report.iterations == len(report.step_trace) == len(report.objective_trace) - 1
-    assert report.converged == (report.stop_reason == "grad_tol")
+    assert report.converged == (report.stop_reason in ("grad_tol", "progress"))
+
+
+def test_report_counts_every_call_the_run_makes():
+    # a sphere whose retraction fails on every third call: the count takes
+    # in degenerate trials too, which cost nothing to evaluate
+    calls = {"cost": 0, "egrad": 0, "retract": 0}
+    a, obj = _rayleigh_problem(seed=6)
+
+    class Counting(Sphere):
+        def retract(self, point, tangent):
+            calls["retract"] += 1
+            if calls["retract"] % 3 == 0:
+                raise DegenerateStepError("every third trial")
+            return super().retract(point, tangent)
+
+    def cost(w):
+        calls["cost"] += 1
+        return obj.cost(w)
+
+    def egrad(w):
+        calls["egrad"] += 1
+        return obj.egrad(w)
+
+    man = Counting(5)
+    point, report = minimize(Objective(cost=cost, egrad=egrad), man, man.random_point(2))
+    assert report.iterations > 0
+    assert (report.cost_evals, report.grad_evals, report.retractions) == (
+        calls["cost"], calls["egrad"], calls["retract"])
+    assert report.grad_evals == report.iterations + 1
+    assert report.retractions > report.cost_evals - 1
+    assert report.feasibility == man.feasibility(point)
 
 
 def test_restart_period_is_the_start_points_size():
@@ -310,6 +377,54 @@ def test_restart_period_is_the_start_points_size():
 
 
 # ---------------------------------------------------------------------------
+# the relative-decrease stop
+
+
+def test_procrustes_stops_on_progress_at_the_svd_optimum():
+    # a smooth problem: the objective stops moving before the gradient norm
+    # reaches a zero tolerance, and the stop is at the optimum
+    obj, w_star, cost = _procrustes_problem()
+    man = Stiefel(6, 3)
+    point, report = minimize(obj, man, man.random_point(4), SolverConfig(grad_tol=0.0))
+    assert report.stop_reason == "progress" and report.converged
+    assert _PROGRESS_WINDOW < report.iterations < 500
+    assert abs(cost(point) - cost(w_star)) <= 1e-6
+    trace = report.objective_trace
+    assert trace[-1 - _PROGRESS_WINDOW] - trace[-1] <= 1e-4 * (trace[0] - trace[-1])
+
+
+def test_a_run_capped_below_the_window_never_stops_on_progress():
+    # cost a/2 x^2 with a = 1 - 1e-3: every unit step keeps 1e-3 of x, so
+    # the first step takes all but 1e-6 of the drop and the rule fires at
+    # the first iteration it can, W + 1
+    obj = Objective(cost=lambda x: 0.5 * 0.999 * float(x @ x), egrad=lambda x: 0.999 * x)
+    cfg = SolverConfig(grad_tol=0.0)
+    _, report = minimize(obj, Euclidean(1), np.array([1.0]), cfg)
+    assert report.stop_reason == "progress"
+    assert report.iterations == _PROGRESS_WINDOW + 1
+    for cap in range(_PROGRESS_WINDOW + 1):
+        _, capped = minimize(obj, Euclidean(1), np.array([1.0]),
+                             SolverConfig(max_iters=cap, grad_tol=0.0))
+        assert capped.stop_reason == "max_iters" and capped.iterations == cap
+
+
+def test_a_capped_fit_reproduces_the_uncapped_trace_prefix():
+    x = synth("gaussian", 80, seed=3, d=4).features
+    hyper = GodsHyper(variant="gods", k=2)
+    full_model, full = train_primal(x, hyper, seed=1)
+    assert full.stop_reason == "progress" and full.iterations < 500
+    for cap in (1, _PROGRESS_WINDOW, full.iterations - 1, full.iterations):
+        model, capped = train_primal(x, hyper, SolverConfig(max_iters=cap), seed=1)
+        assert capped.iterations == cap
+        assert capped.objective_trace == full.objective_trace[: cap + 1]
+        assert capped.grad_norm_trace == full.grad_norm_trace[: cap + 1]
+        assert capped.step_trace == full.step_trace[:cap]
+    # capped at the stop itself, the run is the uncapped one
+    assert capped.stop_reason == "progress"
+    assert model.frames.w1.tobytes() == full_model.frames.w1.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # stall and failure handling
 
 
@@ -330,6 +445,20 @@ def test_line_search_stall_reports_no_convergence():
     assert report.stop_reason == "stall"
     assert report.iterations == 0
     assert report.objective_trace == [5.0]
+    np.testing.assert_array_equal(point, init)
+
+
+def test_a_step_that_leaves_the_cost_unchanged_is_a_stall():
+    # 1 + 1e-20 x rounds to 1.0 near x = 0, yet -grad is a descent
+    # direction: the Armijo bound rounds to f0 as well, so only the strict
+    # decrease test keeps the solver from taking null steps to the cap
+    man = Euclidean(1)
+    obj = Objective(cost=lambda x: 1.0 + 1e-20 * float(x[0]),
+                    egrad=lambda x: np.array([1e-20]))
+    init = np.array([0.5])
+    point, report = minimize(obj, man, init, SolverConfig(grad_tol=0.0))
+    assert report.stop_reason == "stall" and not report.converged
+    assert report.iterations == 0 and report.objective_trace == [1.0]
     np.testing.assert_array_equal(point, init)
 
 
