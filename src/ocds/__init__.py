@@ -6,10 +6,7 @@ only when both agree. Direct variants (bods, gods, gods_n, gods_o,
 gods_e) learn frames in input space on a matching matrix manifold; the
 kernelized variant (kods) learns dual weights over the training set on a
 Gram-weighted manifold. Training uses Riemannian conjugate gradient with
-Armijo backtracking throughout. Each backtracking search starts at twice
-the step the previous iteration accepted (capped at 1), so a fit whose
-steps are small does not re-try every larger step on each iteration; the
-accepted steps come back in ``SolveReport.step_trace``.
+Armijo backtracking throughout (see :mod:`ocds.solver`).
 """
 
 from .data import Dataset, l2_normalize, load_csv, one_class_split, synth, write_csv

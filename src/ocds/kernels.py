@@ -145,6 +145,17 @@ def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None) -> np.nda
     return out
 
 
+def _check_symmetric(k: np.ndarray, what: str) -> None:
+    """Raise ConditioningError if the square matrix k has a non-finite
+    entry (numpy's cholesky does not reject inf/NaN, so no jitter is tried)
+    and DomainError if it is not symmetric to 1e-10 of its largest entry."""
+    if not np.isfinite(k).all():
+        raise ConditioningError(f"{what} has non-finite entries")
+    scale = max(1.0, float(np.abs(k).max(initial=0.0)))
+    if float(np.abs(k - k.T).max(initial=0.0)) > 1e-10 * scale:
+        raise DomainError(f"{what} is not symmetric")
+
+
 def ensure_pd(k: np.ndarray):
     """Return (k_pd, eps): the matrix with the smallest diagonal jitter eps
     from {0, j, 10*j, ...} that admits a Cholesky factorization, where
@@ -158,12 +169,7 @@ def ensure_pd(k: np.ndarray):
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise DimensionError(f"ensure_pd expects a square matrix, got shape {k.shape}")
     n = k.shape[0]
-    if not np.isfinite(k).all():
-        # numpy's cholesky does not reject inf/NaN, so no jitter is tried
-        raise ConditioningError("ensure_pd: matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(k).max(initial=0.0)))
-    if float(np.abs(k - k.T).max(initial=0.0)) > 1e-10 * scale:
-        raise DomainError("ensure_pd expects a symmetric matrix")
+    _check_symmetric(k, "ensure_pd: matrix")
     ksym = (k + k.T) / 2.0  # bitwise no-op when k is already exactly symmetric
 
     mean_diag = float(np.trace(ksym)) / n

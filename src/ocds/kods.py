@@ -1,11 +1,12 @@
 """Kernelized one-class model trained on dual variables.
 
 Instead of frames in input space, the model learns two K x n dual matrices
-Y and Z over the training set, constrained so that the squared rows are
-orthonormal in the geometry of the Gram matrix (Y K Y^T = I). Squaring
-keeps the effective dual weights nonnegative, so each recovered component
-is a nonnegative kernel mixture: rows of Z^2 build the lower classifier,
-rows of Y^2 (negated) build the upper one.
+Y and Z over the training set, constrained so that the rows of each are
+orthonormal in the geometry of the jittered Gram matrix G (Y G Y^T = I and
+Z G Z^T = I, the residuals kods_feasibility measures). The model weights
+the kernel by the squared entries, so each recovered component is a
+nonnegative kernel mixture: rows of Z^2 build the lower classifier, rows
+of Y^2 (negated) build the upper one.
 
 The Gram matrix enters twice, in different roles: a jittered copy defines
 the feasible set (it must be positive definite for the geometry to make

@@ -31,6 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateStepError, DimensionError, PositiveDefiniteError
+from .kernels import _check_symmetric
 
 __all__ = [
     "Manifold",
@@ -378,7 +379,9 @@ class GeneralizedStiefel(Manifold):
     definite gram matrix.
 
     The gram matrix is Cholesky-factored once at construction; its inverse
-    is applied through triangular solves. Retraction normalizes U + t by
+    is applied through triangular solves. A gram that is not finite and
+    symmetric fails as it does in ensure_pd; PositiveDefiniteError means
+    only that the factorization failed. Retraction normalizes U + t by
     the inverse square root of the gram-weighted second moment (the
     generalized polar map), which keeps feasibility at machine precision
     regardless of the input's drift.
@@ -408,11 +411,7 @@ class GeneralizedStiefel(Manifold):
             raise DimensionError(
                 f"gram matrix must be {self.n}x{self.n}, got {gram.shape}"
             )
-        if not np.isfinite(gram).all():
-            raise PositiveDefiniteError("gram matrix has non-finite entries")
-        scale = max(1.0, float(np.abs(gram).max(initial=0.0)))
-        if float(np.abs(gram - gram.T).max(initial=0.0)) > 1e-10 * scale:
-            raise PositiveDefiniteError("gram matrix is not symmetric")
+        _check_symmetric(gram, "gram matrix")
         self.gram = gram
         try:
             self._cho = scipy.linalg.cho_factor(gram, lower=True)

@@ -5,8 +5,12 @@ directions live in the tangent space at the current iterate; the previous
 direction and gradient are carried to the new iterate by projection
 transport. Step acceptance uses the Armijo sufficient-decrease test, so
 the objective trace is non-increasing by construction. Directions follow
-the nonnegative Polak-Ribiere (PR+) rule, restarted every ambient dimension
-(the total size of the start point's arrays).
+the nonnegative Polak-Ribiere (PR+) rule, with one restart rule: the search
+goes along -grad, from the same point and start step, at the first
+iteration, every ambient dimension (the total size of the start point's
+arrays) iterations, when the PR+ denominator is zero, when the PR+
+direction is not a descent direction, and when the search along it fails.
+Only a failed search along -grad ends the run as a stall.
 
 The search remembers its step size: each Armijo search starts at
 min(1, 2 x the last accepted step) rather than at 1, so a run whose
@@ -19,10 +23,10 @@ only if it also lowers the cost strictly, so a step too small to change a
 float64 objective ends the run as a stall rather than as a null step.
 
 Unless a line search stalls, a run stops on the first of three tests,
-checked after each accepted step: the gradient norm reaches ``grad_tol``
-("grad_tol"); the last ``_PROGRESS_WINDOW`` iterations gained at most
-``_PROGRESS_RTOL`` of the total drop so far, f[t-W] - f[t] <= RTOL *
-(f[0] - f[t]) ("progress"); or the iteration budget runs out
+checked at each iterate, the start included: the gradient norm reaches
+``grad_tol`` ("grad_tol"); the last ``_PROGRESS_WINDOW`` iterations
+gained at most ``_PROGRESS_RTOL`` of the total drop so far, f[t-W] - f[t]
+<= RTOL * (f[0] - f[t]) ("progress"); or the iteration budget runs out
 ("max_iters"). The primal hinge is nonsmooth and the KODS gradient is
 G^-1-scaled, so on both the gradient norm alone rarely ends a fit (Boumal,
 *An Introduction to Optimization on Smooth Manifolds*, 2023, ch. 4). The
@@ -144,29 +148,6 @@ def _line_search(obj, manifold, point, direction, f0, slope, step, counts):
     return None
 
 
-def _descend(obj, manifold, point, f, egrad, grad, direction, step=1.0, counts=None):
-    """One Armijo step along the conjugate direction, if there is one (not
-    None) and it succeeds, else along -grad; both searches start at the
-    given step. Returns (new point, new cost, direction taken, accepted
-    step), or None when neither gives a descent step. Calls are tallied in
-    counts when it is given.
-
-    The slope of cost(retract(point, s*d)) at s = 0 is tree_dot(egrad, d):
-    the retraction curve leaves with velocity d, so the chain rule pairs the
-    ambient gradient with the direction. Only descent directions are tried.
-    """
-    counts = {"retractions": 0, "cost_evals": 0} if counts is None else counts
-    for d in ([direction] if direction is not None else []) + [None]:
-        d = tree_scale(grad, -1.0) if d is None else d
-        slope = tree_dot(egrad, d)
-        if slope < 0.0:
-            hit = _line_search(obj, manifold, point, d, f, slope, step, counts)
-            if hit is not None:
-                new_point, new_f, accepted = hit
-                return new_point, new_f, d, accepted
-    return None
-
-
 def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None = None):
     """Minimize obj over the manifold starting from init.
 
@@ -178,6 +159,11 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
     naming the iterate. The report counts the cost and gradient
     evaluations and the retractions made, and holds the returned point's
     manifold.feasibility.
+
+    The slope of cost(retract(point, s*d)) at s = 0 is tree_dot(egrad, d):
+    the retraction curve leaves with velocity d, so the chain rule pairs the
+    ambient gradient with the direction. Only descent directions are
+    searched.
     """
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
@@ -187,33 +173,18 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
     f = float(obj.cost(point))
     if not np.isfinite(f):
         raise NumericError("objective is not finite at the initial point (iterate 0)")
-    egrad = obj.egrad(point)
-    if not tree_all_finite(egrad):
-        raise NumericError("gradient is not finite at the initial point (iterate 0)")
-    grad = manifold.egrad_to_rgrad(point, egrad)
-    gnorm = manifold.norm(point, grad)
-
-    trace = [f]
-    gtrace = [gnorm]
+    trace: list[float] = []
+    gtrace: list[float] = []
     steps: list[float] = []
     counts = {"cost_evals": 1, "retractions": 0}
-    stop_reason = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
-    direction = None  # no conjugate direction: the next step is steepest descent
+    stop_reason = ""
+    direction = None  # the restart signal: the next search is along -grad
 
-    while stop_reason == "max_iters" and len(steps) < cfg.max_iters:
-        start_step = min(1.0, 2.0 * steps[-1]) if steps else 1.0
-        hit = _descend(obj, manifold, point, f, egrad, grad, direction, start_step, counts)
-        if hit is None:
-            stop_reason = "stall"  # report what we have
-            break
-
-        prev_point, prev_grad, prev_gnorm = point, grad, gnorm
-        point, f, direction, step = hit
-        steps.append(step)
-
+    while True:
         egrad = obj.egrad(point)
         if not tree_all_finite(egrad):
-            raise NumericError(f"gradient is not finite at iterate {len(steps)}")
+            where = f"iterate {len(steps)}" if steps else "the initial point (iterate 0)"
+            raise NumericError(f"gradient is not finite at {where}")
         grad = manifold.egrad_to_rgrad(point, egrad)
         gnorm = manifold.norm(point, grad)
         trace.append(f)
@@ -221,21 +192,45 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
 
         if gnorm <= cfg.grad_tol:
             stop_reason = "grad_tol"
-            break
-        if (len(steps) >= _PROGRESS_WINDOW
+        elif (len(steps) >= _PROGRESS_WINDOW
                 and trace[-1 - _PROGRESS_WINDOW] - f <= _PROGRESS_RTOL * (trace[0] - f)):
             stop_reason = "progress"
+        elif len(steps) >= cfg.max_iters:
+            stop_reason = "max_iters"
+        if stop_reason:
             break
 
-        denom = prev_gnorm * prev_gnorm
-        if len(steps) % restart_every == 0 or denom <= 0.0:
-            direction = None
-            continue
-        carried_grad = manifold.transport(prev_point, point, prev_grad)
-        diff = tree_axpy(grad, -1.0, carried_grad)
-        beta = max(0.0, manifold.inner(point, grad, diff) / denom)
-        carried_dir = manifold.transport(prev_point, point, direction)
-        direction = tree_axpy(tree_scale(grad, -1.0), beta, carried_dir)
+        if direction is not None:  # PR+, restarted every restart_every iterations
+            denom = prev_gnorm * prev_gnorm
+            if len(steps) % restart_every == 0 or denom <= 0.0:
+                direction = None
+            else:
+                carried_grad = manifold.transport(prev_point, point, prev_grad)
+                diff = tree_axpy(grad, -1.0, carried_grad)
+                beta = max(0.0, manifold.inner(point, grad, diff) / denom)
+                carried_dir = manifold.transport(prev_point, point, direction)
+                direction = tree_axpy(tree_scale(grad, -1.0), beta, carried_dir)
+
+        start_step = min(1.0, 2.0 * steps[-1]) if steps else 1.0
+        hit = None
+        if direction is not None:
+            slope = tree_dot(egrad, direction)
+            if slope < 0.0:
+                hit = _line_search(obj, manifold, point, direction, f, slope, start_step, counts)
+            if hit is None:
+                direction = None  # not a descent direction, or its search failed
+        if direction is None:  # restart: -grad from the same point and start step
+            direction = tree_scale(grad, -1.0)
+            slope = tree_dot(egrad, direction)
+            if slope < 0.0:
+                hit = _line_search(obj, manifold, point, direction, f, slope, start_step, counts)
+            if hit is None:
+                stop_reason = "stall"  # report what we have
+                break
+
+        prev_point, prev_grad, prev_gnorm = point, grad, gnorm
+        point, f, step = hit
+        steps.append(step)
 
     return point, SolveReport(objective_trace=trace, grad_norm_trace=gtrace,
                               wall_time=time.perf_counter() - start,

@@ -3,7 +3,14 @@ projection, gradient conversion, retraction, and transport."""
 import numpy as np
 import pytest
 
-from ocds.errors import DegenerateStepError, DimensionError, PositiveDefiniteError
+from ocds.errors import (
+    ConditioningError,
+    DegenerateStepError,
+    DimensionError,
+    DomainError,
+    PositiveDefiniteError,
+)
+from ocds.kernels import ensure_pd
 from ocds.manifolds import (
     Euclidean,
     GeneralizedStiefel,
@@ -422,10 +429,13 @@ def test_identity_gram_retractions_share_the_contract():
 
 
 def test_generalized_stiefel_rejects_asymmetric_gram():
+    # the same input error ensure_pd raises for the same matrix
     g = np.eye(4)
     g[0, 1] = 0.5
-    with pytest.raises(PositiveDefiniteError):
+    with pytest.raises(DomainError, match="not symmetric"):
         GeneralizedStiefel(4, 2, g)
+    with pytest.raises(DomainError, match="not symmetric"):
+        ensure_pd(g)
 
 
 def test_generalized_stiefel_rejects_indefinite_gram():
@@ -437,8 +447,10 @@ def test_generalized_stiefel_rejects_indefinite_gram():
 def test_generalized_stiefel_rejects_non_finite_gram(bad):
     g = np.eye(4)
     g[0, 3] = g[3, 0] = bad
-    with pytest.raises(PositiveDefiniteError, match="non-finite"):
+    with pytest.raises(ConditioningError, match="non-finite"):
         GeneralizedStiefel(4, 2, g)
+    with pytest.raises(ConditioningError, match="non-finite"):
+        ensure_pd(g)
 
 
 def test_dimension_validation():

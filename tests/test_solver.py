@@ -1,6 +1,7 @@
 """Conjugate-gradient solver checks against closed-form minimizers."""
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,14 +10,25 @@ import ocds.kods
 from ocds.data import synth
 from ocds.errors import DegenerateStepError, DomainError, NumericError
 from ocds.kernels import KernelSpec
-from ocds.manifolds import Euclidean, Product, Sphere, Stiefel, tree_dot
+from ocds.manifolds import (
+    Euclidean,
+    Product,
+    Sphere,
+    Stiefel,
+    tree_all_finite,
+    tree_axpy,
+    tree_dot,
+    tree_leaves,
+    tree_scale,
+)
 from ocds.primal import GodsHyper, train_primal
 from ocds.solver import (
+    _PROGRESS_RTOL,
     _PROGRESS_WINDOW,
     Objective,
     SolveReport,
     SolverConfig,
-    _descend,
+    _line_search,
     fd_gradient_check,
     minimize,
 )
@@ -102,31 +114,19 @@ def test_orthogonal_regression_matches_svd_solution():
     assert _non_increasing(report.objective_trace)
 
 
-def test_a_step_falls_back_to_steepest_descent():
-    _, obj = _rayleigh_problem(seed=2)
-    man = Sphere(5)
-    point = man.random_point(5)
-    f, egrad = obj.cost(point), obj.egrad(point)
-    grad = man.egrad_to_rgrad(point, egrad)
-    for direction in (None, grad):  # no conjugate direction; an ascent direction
-        new_point, new_f, taken, _ = _descend(obj, man, point, f, egrad, grad, direction)
-        np.testing.assert_array_equal(taken, -grad)
-        assert new_f < f and new_f == obj.cost(new_point)
-
-
 # ---------------------------------------------------------------------------
 # step-size memory
 
 
 class _RecordingEuclidean(Euclidean):
-    """Euclidean(1) that records every (point, tangent) the line search tries."""
+    """Euclidean(d) that records every (point, tangent) the line search tries."""
 
-    def __init__(self):
-        super().__init__(1)
+    def __init__(self, d=1):
+        super().__init__(d)
         self.trials = []
 
     def retract(self, point, tangent):
-        self.trials.append((float(point[0]), float(tangent[0])))
+        self.trials.append((tuple(point), tuple(tangent)))
         return super().retract(point, tangent)
 
 
@@ -142,7 +142,7 @@ def test_each_search_starts_at_twice_the_last_accepted_step(a):
     assert report.iterations >= 5
 
     searches = {}  # trial steps per search, keyed by the point searched from
-    for x, t in man.trials:
+    for (x,), (t,) in man.trials:
         searches.setdefault(x, []).append(t / -(a * x))
     searches = list(searches.values())
     accepted = [steps[-1] for steps in searches]
@@ -161,26 +161,59 @@ def test_step_trace_holds_one_power_of_two_per_iteration():
         assert 0.0 < step <= 1.0 and math.frexp(step)[0] == 0.5
 
 
+def _ascent_cg_problem():
+    # Euclidean(2) from the origin with a made-up gradient: (1, 0) at the
+    # origin and (-2, 1) elsewhere. The cost is finite only for x0 >= -2^-7,
+    # so the first search halves down to 2^-7. At iterate 1 PR+ gives
+    # beta = <g1, g1 - g0> / |g0|^2 = 7 and d1 = -g1 - 7 g0 = (-5, -1), whose
+    # slope <g1, d1> = 9 is positive, so the search goes along -g1 = (2, -1).
+    def cost(x):
+        return 0.25 * float(x[0]) + float(x[1]) if x[0] >= -2.0**-7 else math.inf
+
+    def egrad(x):
+        return np.array([1.0, 0.0]) if not x.any() else np.array([-2.0, 1.0])
+
+    return Objective(cost=cost, egrad=egrad)
+
+
+def _ascent_cg_run():
+    man = _RecordingEuclidean(2)
+    _, report = minimize(_ascent_cg_problem(), man, np.zeros(2),
+                         SolverConfig(max_iters=2, grad_tol=0.0))
+    return man.trials, report
+
+
+def test_a_step_falls_back_to_steepest_descent():
+    # the first step and a step whose CG direction is not a descent
+    # direction both search along -grad; the CG direction is never tried
+    trials, report = _ascent_cg_run()
+    assert report.stop_reason == "max_iters" and _non_increasing(report.objective_trace)
+    first = [t for x, t in trials if x == (0.0, 0.0)]
+    assert first[0] == (-1.0, 0.0)  # -grad at the unit start step
+    second = [t for x, t in trials if x == (-(2.0**-7), 0.0)]
+    assert len(second) == 1 and second[0][0] / second[0][1] == -2.0  # along -g1 = (2, -1)
+
+
 def test_the_steepest_descent_fallback_starts_at_the_given_step():
-    _, obj = _rayleigh_problem(seed=2)
-    man = Sphere(5)
-    point = man.random_point(5)
-    f, egrad = obj.cost(point), obj.egrad(point)
-    grad = man.egrad_to_rgrad(point, egrad)
-    _, new_f, _, step = _descend(obj, man, point, f, egrad, grad, grad, 2.0**-6)
-    assert step <= 2.0**-6 and new_f < f
+    # the -grad search at iterate 1 starts at 2 x 2^-7, the step the first
+    # search accepted
+    trials, report = _ascent_cg_run()
+    assert report.step_trace == [2.0**-7, 2.0**-6]
+    assert [t for x, t in trials if x == (-(2.0**-7), 0.0)] == [(2.0**-5, -(2.0**-6))]
 
 
 def test_a_step_that_underflows_to_zero_is_a_stall():
     # every move from the origin costs more; a search started at a subnormal
     # halves to 0.0, and a zero step would pass the Armijo test by standing
-    # still, after which every later search would start at 0
+    # still, after which every later search would start at 0. The search
+    # fails instead, which minimize reports as a stall.
     man = Euclidean(1)
     obj = Objective(cost=lambda x: 1.0 if x[0] == 0.0 else 2.0,
                     egrad=lambda x: np.array([1.0]))
-    point = np.array([0.0])
-    egrad = obj.egrad(point)
-    assert _descend(obj, man, point, 1.0, egrad, egrad, None, 1e-323) is None
+    counts = {"retractions": 0, "cost_evals": 0}
+    direction = np.array([-1.0])
+    assert _line_search(obj, man, np.array([0.0]), direction, 1.0, -1.0, 1e-323, counts) is None
+    assert counts == {"retractions": 2, "cost_evals": 2}  # 1e-323, 5e-324, then 0
 
 
 def test_a_kods_ring_fit_spends_few_cost_evaluations_per_iteration(monkeypatch):
@@ -352,8 +385,9 @@ def test_report_counts_every_call_the_run_makes():
 
 def test_restart_period_is_the_start_points_size():
     # A 3-vector on the sphere and a 2-vector: the period is 5. The solver
-    # takes egrad once at the start and once per iteration, so egrad calls
-    # minus one is the iteration in which a transport call happens.
+    # takes egrad once at each iterate, so egrad calls minus one is the
+    # iterate at which a transport call happens. The run stops at iterate
+    # 16 before it needs a direction there.
     calls = {"egrad": 0}
     transported_in = []
 
@@ -373,7 +407,7 @@ def test_restart_period_is_the_start_points_size():
     man = Counting(Sphere(3), Euclidean(2))
     _, report = minimize(obj, man, man.random_point(1), SolverConfig(max_iters=16, grad_tol=0.0))
     assert report.iterations == 16
-    assert set(transported_in) == {i for i in range(1, 17) if i % 5 != 0}
+    assert set(transported_in) == {i for i in range(1, 16) if i % 5 != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +540,219 @@ def test_line_search_steps_over_non_finite_regions():
     point, report = minimize(obj, man, np.array([2.5]))
     assert report.converged
     assert abs(point[0]) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the one-loop solver against the two-site loop it replaced
+#
+# _reference_descend and _reference_minimize are the solver as it was before
+# minimize became one loop: a gradient site at the start and one after each
+# step, and a retry along -grad inside the step. The one-loop rewrite must
+# reproduce every run of it bit for bit.
+
+
+def _reference_descend(obj, manifold, point, f, egrad, grad, direction, step=1.0, counts=None):
+    counts = {"retractions": 0, "cost_evals": 0} if counts is None else counts
+    for d in ([direction] if direction is not None else []) + [None]:
+        d = tree_scale(grad, -1.0) if d is None else d
+        slope = tree_dot(egrad, d)
+        if slope < 0.0:
+            hit = _line_search(obj, manifold, point, d, f, slope, step, counts)
+            if hit is not None:
+                new_point, new_f, accepted = hit
+                return new_point, new_f, d, accepted
+    return None
+
+
+def _reference_minimize(obj, manifold, init, cfg=None):
+    cfg = cfg or SolverConfig()
+    start = time.perf_counter()
+    restart_every = sum(leaf.size for leaf in tree_leaves(init))
+
+    point = init
+    f = float(obj.cost(point))
+    if not np.isfinite(f):
+        raise NumericError("objective is not finite at the initial point (iterate 0)")
+    egrad = obj.egrad(point)
+    if not tree_all_finite(egrad):
+        raise NumericError("gradient is not finite at the initial point (iterate 0)")
+    grad = manifold.egrad_to_rgrad(point, egrad)
+    gnorm = manifold.norm(point, grad)
+
+    trace = [f]
+    gtrace = [gnorm]
+    steps = []
+    counts = {"cost_evals": 1, "retractions": 0}
+    stop_reason = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
+    direction = None
+
+    while stop_reason == "max_iters" and len(steps) < cfg.max_iters:
+        start_step = min(1.0, 2.0 * steps[-1]) if steps else 1.0
+        hit = _reference_descend(obj, manifold, point, f, egrad, grad, direction,
+                                 start_step, counts)
+        if hit is None:
+            stop_reason = "stall"
+            break
+
+        prev_point, prev_grad, prev_gnorm = point, grad, gnorm
+        point, f, direction, step = hit
+        steps.append(step)
+
+        egrad = obj.egrad(point)
+        if not tree_all_finite(egrad):
+            raise NumericError(f"gradient is not finite at iterate {len(steps)}")
+        grad = manifold.egrad_to_rgrad(point, egrad)
+        gnorm = manifold.norm(point, grad)
+        trace.append(f)
+        gtrace.append(gnorm)
+
+        if gnorm <= cfg.grad_tol:
+            stop_reason = "grad_tol"
+            break
+        if (len(steps) >= _PROGRESS_WINDOW
+                and trace[-1 - _PROGRESS_WINDOW] - f <= _PROGRESS_RTOL * (trace[0] - f)):
+            stop_reason = "progress"
+            break
+
+        denom = prev_gnorm * prev_gnorm
+        if len(steps) % restart_every == 0 or denom <= 0.0:
+            direction = None
+            continue
+        carried_grad = manifold.transport(prev_point, point, prev_grad)
+        diff = tree_axpy(grad, -1.0, carried_grad)
+        beta = max(0.0, manifold.inner(point, grad, diff) / denom)
+        carried_dir = manifold.transport(prev_point, point, direction)
+        direction = tree_axpy(tree_scale(grad, -1.0), beta, carried_dir)
+
+    return point, SolveReport(objective_trace=trace, grad_norm_trace=gtrace,
+                              wall_time=time.perf_counter() - start,
+                              step_trace=steps, stop_reason=stop_reason,
+                              feasibility=manifold.feasibility(point), **counts)
+
+
+@pytest.fixture
+def restarts(monkeypatch):
+    """How each reference step chose its direction, in order: "cg" (the
+    search along the CG direction succeeded), "first" (the first step),
+    "restart" (a later step with no CG direction: the periodic or
+    zero-denominator restart), "not_descent" (the CG direction has a
+    nonnegative slope) and "cg_failed" (the search along a descent CG
+    direction failed); "stall" follows when the -grad search failed too."""
+    seen = []
+    descend = _reference_descend
+
+    def recording(obj, manifold, point, f, egrad, grad, direction, step=1.0, counts=None):
+        hit = descend(obj, manifold, point, f, egrad, grad, direction, step, counts)
+        if direction is None:
+            seen.append("restart" if seen else "first")
+        elif tree_dot(egrad, direction) >= 0.0:
+            seen.append("not_descent")
+        elif hit is None or hit[2] is not direction:
+            seen.append("cg_failed")
+        else:
+            seen.append("cg")
+        if hit is None:
+            seen.append("stall")
+        return hit
+
+    monkeypatch.setitem(globals(), "_reference_descend", recording)
+    return seen
+
+
+def _assert_same_run(run, reference):
+    (point, report), (ref_point, ref_report) = run, reference
+    for name in ("objective_trace", "grad_norm_trace", "step_trace", "stop_reason",
+                 "cost_evals", "retractions", "grad_evals", "feasibility"):
+        assert getattr(report, name) == getattr(ref_report, name), name
+    for leaf, ref_leaf in zip(tree_leaves(point), tree_leaves(ref_point), strict=True):
+        assert leaf.tobytes() == ref_leaf.tobytes()
+
+
+def _two_factor_problem():
+    # the start point has 5 entries, so CG restarts at iterations 5, 10, 15
+    a, _ = _rayleigh_problem(d=3, seed=2)
+    obj = Objective(cost=lambda pt: float(pt[0] @ a @ pt[0]) + float(np.sum(pt[1] ** 4)),
+                    egrad=lambda pt: (2.0 * (a @ pt[0]), 4.0 * pt[1] ** 3))
+    man = Product(Sphere(3), Euclidean(2))
+    return obj, man, man.random_point(1), SolverConfig(max_iters=16, grad_tol=0.0)
+
+
+def _cg_search_fails_problem():
+    # Euclidean(2) from the origin with a made-up gradient, 1e-30 e0 at the
+    # origin and e0 elsewhere, and cost x0 inside |x0| <= 1 (inf outside).
+    # Step 1 moves to x0 = -1e-30. There PR+ gives beta = 1e60 and a
+    # descent direction ~ -1e30 e0, whose every trial down to 2^-59 lands
+    # outside; -grad = -e0 reaches x0 = -1. From there every -grad trial
+    # lands outside, so the run stalls.
+    def cost(x):
+        return float(x[0]) if abs(x[0]) <= 1.0 else math.inf
+
+    def egrad(x):
+        return np.array([1e-30 if x[0] == 0.0 else 1.0, 0.0])
+
+    return Objective(cost=cost, egrad=egrad), Euclidean(2), np.zeros(2), SolverConfig(grad_tol=0.0)
+
+
+def _null_step_problem():
+    obj = Objective(cost=lambda x: 1.0 + 1e-20 * float(x[0]), egrad=lambda x: np.array([1e-20]))
+    return obj, Euclidean(1), np.array([0.5]), SolverConfig(grad_tol=0.0)
+
+
+def _rayleigh_run():
+    _, obj = _rayleigh_problem(seed=4)
+    return obj, Sphere(5), Sphere(5).random_point(7), None
+
+
+def _procrustes_run():
+    obj, _, _ = _procrustes_problem()
+    return obj, Stiefel(6, 3), Stiefel(6, 3).random_point(4), SolverConfig(grad_tol=0.0)
+
+
+def _quadratic_run():
+    obj = Objective(cost=lambda x: float(x @ x), egrad=lambda x: 2.0 * x)
+    return obj, Euclidean(3), np.array([1.0, -2.0, 3.0]), None
+
+
+@pytest.mark.parametrize("problem, stop_reason, events", [
+    (_rayleigh_run, "grad_tol", {"first", "cg", "not_descent", "restart"}),
+    (_procrustes_run, "progress", {"first", "cg"}),
+    (_quadratic_run, "grad_tol", {"first"}),
+    (_two_factor_problem, "max_iters", {"first", "restart", "cg"}),
+    (_cg_search_fails_problem, "stall", {"first", "cg_failed", "restart", "stall"}),
+    (_null_step_problem, "stall", {"first", "stall"}),
+])
+def test_minimize_reproduces_the_reference_loop(restarts, problem, stop_reason, events):
+    obj, man, init, cfg = problem()
+    reference = _reference_minimize(obj, man, init, cfg)
+    assert reference[1].stop_reason == stop_reason
+    assert events <= set(restarts)
+    _assert_same_run(minimize(obj, man, init, cfg), reference)
+
+
+def test_the_reference_problems_hit_each_restart_trigger(restarts):
+    # the periodic restart lands on iterations 5, 10 and 15; the constructed
+    # CG failure at iterate 1 is rescued by -grad, then the run stalls
+    _reference_minimize(*_two_factor_problem())
+    assert [i for i, e in enumerate(restarts) if e == "restart"] == [5, 10, 15]
+    restarts.clear()
+    _, report = _reference_minimize(*_cg_search_fails_problem())
+    assert restarts == ["first", "cg_failed", "restart", "stall"]
+    assert report.objective_trace == [0.0, -1e-30, -1.0]
+
+
+def test_a_kods_ring_fit_reproduces_the_reference_loop(monkeypatch, restarts):
+    # k = 2 on a ring: PR+ gives non-descent directions along the way
+    x = synth("ring", 100, seed=0).features
+    args = (x, KernelSpec(family="rbf", sigma=0.2), ocds.kods.KodsHyper(k=2, normalize=False),
+            SolverConfig(max_iters=150))
+    model, report = ocds.kods.kods_train(*args, seed=0)
+    monkeypatch.setattr(ocds.kods, "minimize", _reference_minimize)
+    ref_model, ref_report = ocds.kods.kods_train(*args, seed=0)
+    assert "not_descent" in restarts
+    _assert_same_run(((model.duals.y, model.duals.z), report),
+                     ((ref_model.duals.y, ref_model.duals.z), ref_report))
+    for name in ("b1", "b2"):
+        assert getattr(model, name).tobytes() == getattr(ref_model, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
