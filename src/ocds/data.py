@@ -54,9 +54,10 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
+        if self.features.ndim != 2 or min(self.features.shape) < 1:
             raise DataError(
-                f"dataset needs a nonempty 2-D feature matrix, got shape {self.features.shape}"
+                f"dataset needs a 2-D feature matrix with at least one row and one "
+                f"column, got shape {self.features.shape}"
             )
         if not np.isfinite(self.features).all():
             raise DataError("dataset features contain non-finite values")
@@ -90,9 +91,10 @@ def load_csv(
     dropped. A header, when there is one, sets the column count. A
     delimiter the csv module rejects (anything but one character) raises
     SchemaError before the file is opened. Undecodable bytes, unparseable
-    fields and ragged rows raise DataError, the latter two with the
-    offending line number; rows that parse to non-finite values are
-    dropped with a warning listing their indices.
+    fields and ragged rows raise DataError, the latter two with the file
+    line on which the offending record ends (blank lines and quoted line
+    breaks counted); rows that parse to non-finite values are dropped with
+    a warning listing their indices.
     """
     try:
         csv.reader((), delimiter=delimiter)
@@ -104,7 +106,8 @@ def load_csv(
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+            # (file line on which the record ends, record), blank records skipped
+            rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from None
     except csv.Error as exc:
@@ -114,12 +117,12 @@ def load_csv(
 
     header: list[str] | None = None
     if has_header:
-        header = [cell.strip() for cell in rows[0]]
+        header = [cell.strip() for cell in rows[0][1]]
         rows = rows[1:]
         if not rows:
             raise DataError(f"{path}: header only, no data rows")
 
-    ncols = len(header if header is not None else rows[0])
+    ncols = len(header if header is not None else rows[0][1])
     label_idx: int | None = None
     if label_column is not None:
         if isinstance(label_column, str):
@@ -144,7 +147,7 @@ def load_csv(
 
     feats: list[list[float]] = []
     labels: list[str] = []
-    for lineno, row in enumerate(rows, start=2 if has_header else 1):
+    for lineno, row in rows:
         if len(row) != ncols:
             raise DataError(
                 f"{path}: line {lineno} has {len(row)} fields, expected {ncols}"
@@ -255,7 +258,7 @@ def _training_rows(x) -> np.ndarray:
 
 def _check_hyper(k, eta, lam) -> None:
     """The k, eta and lam checks of both hyperparameter dataclasses."""
-    if not (isinstance(k, numbers.Integral) and k >= 1):
+    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1):
         raise DomainError(f"k must be an integer >= 1, got {k!r}")
     if not (math.isfinite(eta) and eta > 0.0):
         raise DomainError(f"eta must be positive and finite, got {eta}")

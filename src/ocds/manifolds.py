@@ -1,14 +1,17 @@
 """Riemannian manifolds for frame-based one-class models.
 
-A point on a simple manifold is a numpy array; only a Product point is a
-tuple, whose entries are the factor points. Every training path builds
-one flat Product of simple factors, so no trained point nests a tuple.
+A point is a numpy array, or for a Product a flat tuple of the factors'
+arrays: Product refuses a Product factor, so no point nests a tuple.
 Tangent vectors mirror the point structure exactly, and a point's ambient
 dimension is the total size of its arrays. All operations are pure:
-arguments are never mutated, and a zero tangent retracts to the identical
-point object so repeated zero-steps stay bit-stable. (GeneralizedStiefel
-memoizes one point's product with its gram, looked up by value, so
-results never depend on it.)
+arguments are never mutated. (GeneralizedStiefel memoizes one point's
+product with its gram, looked up by value, so results never depend on
+it.)
+
+One zero-step rule holds for every manifold: a zero tangent retracts to
+the identical point object, so repeated zero-steps stay bit-stable.
+Manifold.retract applies it and hands every other step to the
+geometry's _retract; Product applies it to each factor.
 
 KODS trains on _GeneralizedStiefelPair, a Product of one
 GeneralizedStiefel with itself whose operations stack the two frames and
@@ -23,7 +26,8 @@ post-training validation.
 
 Unit-norm drift has one measure, Oblique's ‖(‖w_j‖ - 1)_j‖. Sphere is the
 one-column oblique manifold with points stored as d-vectors, so on a
-sphere point that measure is |‖w‖ - 1|.
+sphere point that measure is |‖w‖ - 1|. PositiveVector is, in the same
+way, the open positive orthant of Euclidean(K) with its own retraction.
 """
 from __future__ import annotations
 
@@ -57,24 +61,18 @@ _POLAR_REFINE_COND = 1e4
 
 
 # ---------------------------------------------------------------------------
-# Structure helpers: points/tangents are arrays or (nested) tuples of arrays.
+# Structure helpers: points/tangents are arrays or flat tuples of arrays.
 
 
 def tree_map(fn, *trees):
-    """Apply fn leafwise over parallel tuple structures."""
-    head = trees[0]
-    if isinstance(head, tuple):
-        return tuple(tree_map(fn, *parts) for parts in zip(*trees))
+    """Apply fn leafwise over parallel points or tangents."""
+    if isinstance(trees[0], tuple):
+        return tuple(fn(*parts) for parts in zip(*trees))
     return fn(*trees)
 
 
 def tree_leaves(tree) -> list[np.ndarray]:
-    if isinstance(tree, tuple):
-        out: list[np.ndarray] = []
-        for part in tree:
-            out.extend(tree_leaves(part))
-        return out
-    return [tree]
+    return list(tree) if isinstance(tree, tuple) else [tree]
 
 
 def tree_dot(a, b) -> float:
@@ -154,6 +152,12 @@ class Manifold:
         return self.project_tangent(point, egrad)
 
     def retract(self, point, tangent):
+        if _is_zero(tangent):
+            return point
+        return self._retract(point, tangent)
+
+    def _retract(self, point, tangent):
+        """The geometry's retraction of a nonzero tangent."""
         raise NotImplementedError
 
     def transport(self, start, end, tangent):
@@ -199,9 +203,7 @@ class Euclidean(Manifold):
     def project_tangent(self, point, ambient):
         return self._expect(ambient, self.shape, "ambient vector")
 
-    def retract(self, point, tangent):
-        if _is_zero(tangent):
-            return point
+    def _retract(self, point, tangent):
         return point + tangent
 
     def random_point(self, seed):
@@ -231,9 +233,7 @@ class Stiefel(Manifold):
         g = self._expect(egrad, (self.d, self.k), "gradient")
         return g - point @ (g.T @ point)
 
-    def retract(self, point, tangent):
-        if _is_zero(tangent):
-            return point
+    def _retract(self, point, tangent):
         return _qr_positive(point + tangent)
 
     def random_point(self, seed):
@@ -260,9 +260,7 @@ class Oblique(Manifold):
         a = self._expect(ambient, self.shape, "ambient array")
         return a - point * (point * a).sum(axis=0)
 
-    def retract(self, point, tangent):
-        if _is_zero(tangent):
-            return point
+    def _retract(self, point, tangent):
         v = point + tangent
         norms = np.linalg.norm(v, axis=0)
         if np.any(norms <= 1e-12):
@@ -292,23 +290,20 @@ class Sphere(Oblique):
         self.name = f"Sphere({d})"
 
 
-class PositiveVector(Manifold):
-    """Strictly positive K-vectors; steps are taken multiplicatively so
-    positivity can never be lost, matching a log-space parameterization
-    to first order."""
+class PositiveVector(Euclidean):
+    """Strictly positive K-vectors: the open positive orthant of
+    Euclidean(K), whose tangent space it keeps. Steps are taken
+    multiplicatively so positivity can never be lost, matching a log-space
+    parameterization to first order."""
 
     def __init__(self, k: int):
         if k < 1:
             raise DimensionError(f"PositiveVector needs K >= 1, got {k}")
+        super().__init__(k)
         self.k = int(k)
         self.name = f"PositiveVector({k})"
 
-    def project_tangent(self, point, ambient):
-        return self._expect(ambient, (self.k,), "ambient vector")
-
-    def retract(self, point, tangent):
-        if _is_zero(tangent):
-            return point
+    def _retract(self, point, tangent):
         # exp is clipped only to guard overflow on absurd trial steps; the
         # line search rejects those by cost anyway. The floor keeps entries
         # that underflow during aggressive shrinking strictly positive.
@@ -322,16 +317,15 @@ class PositiveVector(Manifold):
     def feasibility(self, point) -> float:
         return 0.0 if np.all(point > 0.0) else float("inf")
 
-    def tangency(self, point, tangent) -> float:
-        return 0.0
-
 
 class Product(Manifold):
-    """Cartesian product; points are tuples of factor points."""
+    """Cartesian product; points are flat tuples of factor points."""
 
     def __init__(self, *factors: Manifold):
         if not factors:
             raise DimensionError("Product needs at least one factor")
+        if any(isinstance(f, Product) for f in factors):
+            raise DimensionError("Product factors cannot be Products; list their factors instead")
         self.factors = tuple(factors)
         self.name = "Product(" + ", ".join(f.name for f in self.factors) + ")"
 
@@ -369,9 +363,9 @@ class Product(Manifold):
         return max(f.feasibility(p) for f, p in zip(self.factors, point))
 
     def tangency(self, point, tangent) -> float:
-        return max(
-            f.tangency(p, t) for f, p, t in zip(self.factors, point, tangent)
-        )
+        self._check(point, "point")
+        self._check(tangent, "tangent")
+        return max(f.tangency(p, t) for f, p, t in zip(self.factors, point, tangent))
 
 
 class GeneralizedStiefel(Manifold):
@@ -490,9 +484,7 @@ class GeneralizedStiefel(Manifold):
         v = self._expect(v, (self.k, self.n), "ambient matrix")
         return self._polar_stack(v[None])[0]
 
-    def retract(self, point, tangent):
-        if _is_zero(tangent):
-            return point
+    def _retract(self, point, tangent):
         return self.polar(point + tangent)
 
     def random_point(self, seed):

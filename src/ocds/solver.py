@@ -83,7 +83,8 @@ class SolverConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 0):
+        if not (isinstance(self.max_iters, numbers.Integral)
+                and not isinstance(self.max_iters, bool) and self.max_iters >= 0):
             raise DomainError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0.0):
             raise DomainError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
@@ -245,28 +246,17 @@ def fd_gradient_check(obj: Objective, point) -> float:
     Returns ||egrad - fd||_F / max(1, ||egrad||_F) with Frobenius norms
     taken over all factors jointly.
     """
-    analytic = tree_leaves(obj.egrad(point))
+    analytic = np.concatenate([np.ravel(g) for g in tree_leaves(obj.egrad(point))])
     work = tree_copy(point)
-    leaves = tree_leaves(work)
-
-    fd: list[np.ndarray] = []
-    for leaf in leaves:
-        g = np.zeros_like(leaf)
-        flat_leaf = leaf.ravel()
-        flat_g = g.ravel()
-        for j in range(flat_leaf.size):
-            orig = flat_leaf[j]
-            flat_leaf[j] = orig + _FD_STEP
-            f_plus = float(obj.cost(work))
-            flat_leaf[j] = orig - _FD_STEP
-            f_minus = float(obj.cost(work))
-            flat_leaf[j] = orig
-            flat_g[j] = (f_plus - f_minus) / (2.0 * _FD_STEP)
-        fd.append(g)
-
-    num = 0.0
-    den = 0.0
-    for a, b in zip(analytic, fd):
-        num += float(np.sum((a - b) ** 2))
-        den += float(np.sum(a * a))
-    return float(np.sqrt(num) / max(1.0, np.sqrt(den)))
+    # Every coordinate in C order, indexed in place, whatever a leaf's layout.
+    coords = [(leaf, j) for leaf in tree_leaves(work) for j in np.ndindex(leaf.shape)]
+    fd = np.empty(len(coords))
+    for i, (leaf, j) in enumerate(coords):
+        orig = leaf[j]
+        leaf[j] = orig + _FD_STEP
+        f_plus = float(obj.cost(work))
+        leaf[j] = orig - _FD_STEP
+        f_minus = float(obj.cost(work))
+        leaf[j] = orig
+        fd[i] = (f_plus - f_minus) / (2.0 * _FD_STEP)
+    return float(np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic)))

@@ -28,6 +28,9 @@ def test_dataset_rejects_bad_inputs():
         Dataset(features=np.array([[1.0, np.nan]]))
     with pytest.raises(DataError):
         Dataset(features=np.zeros((3, 2)), labels=np.array(["a", "b"], dtype=object))
+    # write_csv would otherwise divide its block size by zero columns
+    with pytest.raises(DataError, match="one column"):
+        Dataset(features=np.empty((3, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +127,30 @@ def test_load_unparseable_cell_names_line_and_column(tmp_path):
     p.write_text("1,2\n3,oops\n")
     with pytest.raises(DataError, match=r"line 2, column 1: cannot parse 'oops'"):
         load_csv(p)
+
+
+def test_load_line_numbers_count_blank_lines(tmp_path):
+    p = tmp_path / "gaps.csv"
+    p.write_text("1,2\n\n\n3,x\n")
+    with pytest.raises(DataError, match=r"line 4, column 1: cannot parse 'x'"):
+        load_csv(p)
+    p.write_text("a,b\n1,2\n\n3\n")
+    with pytest.raises(DataError, match="line 4 has 1 fields"):
+        load_csv(p, has_header=True)
+
+
+def test_load_line_numbers_count_line_breaks_inside_quoted_labels(tmp_path):
+    # a record is named by the line it ends on
+    p = tmp_path / "multiline.csv"
+    p.write_text('1,"two\nlines"\noops,b\n')
+    with pytest.raises(DataError, match=r"line 3, column 0: cannot parse 'oops'"):
+        load_csv(p, label_column=1)
+    p.write_text('1,"two\nlines"\n3\n')
+    with pytest.raises(DataError, match="line 3 has 1 fields"):
+        load_csv(p, label_column=1)
+    p.write_text('"1\n2",a\n')
+    with pytest.raises(DataError, match=r"line 2, column 0"):
+        load_csv(p, label_column=1)
 
 
 def test_load_named_label_without_header_is_a_schema_error(tmp_path):

@@ -44,7 +44,7 @@ def _duals(k, n, seed):
 @pytest.mark.parametrize("kwargs", [
     {"k": 0}, {"eta": 0.0}, {"eta": -0.1}, {"lam": -1.0},
     {"eta": float("nan")}, {"eta": float("inf")}, {"lam": float("nan")}, {"lam": float("inf")},
-    {"k": 1.5}, {"k": "2"}, {"k": None},
+    {"k": 1.5}, {"k": "2"}, {"k": None}, {"k": True}, {"k": False},
 ])
 def test_hyper_rejects_bad_values(kwargs):
     with pytest.raises(DomainError):

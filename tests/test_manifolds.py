@@ -14,6 +14,7 @@ from ocds.kernels import ensure_pd
 from ocds.manifolds import (
     Euclidean,
     GeneralizedStiefel,
+    Manifold,
     Oblique,
     PositiveVector,
     Product,
@@ -188,6 +189,23 @@ def test_retract_zero_tangent_returns_point_bit_identical(man):
         assert a is b
 
 
+def test_retract_applies_the_zero_step_rule_before_the_geometry():
+    class Shifted(Manifold):
+        # defines only the geometry's retraction of a nonzero tangent
+        def __init__(self):
+            self.calls = 0
+
+        def _retract(self, point, tangent):
+            self.calls += 1
+            return point + tangent + 1.0
+
+    man, p = Shifted(), np.array([1.0, 2.0])
+    assert man.retract(p, np.zeros(2)) is p
+    assert man.calls == 0
+    np.testing.assert_array_equal(man.retract(p, np.array([0.0, 0.5])), [2.0, 3.5])
+    assert man.calls == 1
+
+
 def test_retract_stiefel_matches_gram_schmidt_oracle():
     man = Stiefel(3, 2)
     for seed in range(20):
@@ -245,6 +263,20 @@ def test_sphere_is_the_one_column_oblique(d):
         np.testing.assert_array_equal(sphere.retract(p, t)[:, None],
                                       oblique.retract(p[:, None], t[:, None]))
         assert sphere.tangency(p, t) == oblique.tangency(p[:, None], t[:, None])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_positive_vector_is_the_positive_orthant_of_euclidean(k):
+    positive, euclidean = PositiveVector(k), Euclidean(k)
+    assert isinstance(positive, Euclidean)
+    for seed in range(10):
+        p = positive.random_point(seed)
+        a = _random_ambient(p, seed + 100, 3.0)
+        np.testing.assert_array_equal(positive.project_tangent(p, a),
+                                      euclidean.project_tangent(p, a))
+        assert positive.tangency(p, a) == euclidean.tangency(p, a) == 0.0
+    with pytest.raises(DimensionError):
+        positive.project_tangent(p, np.zeros(k + 1))
 
 
 def test_positive_vector_retract_is_multiplicative():
@@ -462,6 +494,11 @@ def test_dimension_validation():
         GeneralizedStiefel(2, 3, np.eye(2))
     with pytest.raises(DimensionError):
         Product()
+    # points are flat tuples, so a Product factor is refused
+    with pytest.raises(DimensionError, match="cannot be Products"):
+        Product(Product(Euclidean(2)), Euclidean(1))
+    with pytest.raises(DimensionError):
+        Product(Sphere(3), Product(Euclidean(2), Euclidean(1)))
 
 
 def test_product_rejects_wrong_tuple_length():
@@ -469,6 +506,10 @@ def test_product_rejects_wrong_tuple_length():
     p = man.random_point(0)
     with pytest.raises(DimensionError):
         man.retract((p[0],), (p[0],))
+    with pytest.raises(DimensionError):
+        man.tangency(p, (np.zeros(3),))
+    with pytest.raises(DimensionError):
+        man.tangency(p[:1], _zeros_like(p))
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,8 @@ def _model(variant, w1, b1, w2, b2, r1=None, r2=None, k=None, normalize=False):
     [
         {"variant": "nope"},
         {"k": 0},
+        {"k": True},
+        {"k": False},
         {"eta": 0.0},
         {"nu": 0.0},
         {"lam": -1.0},

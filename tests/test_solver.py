@@ -9,7 +9,7 @@ import pytest
 import ocds.kods
 from ocds.data import synth
 from ocds.errors import DegenerateStepError, DomainError, NumericError
-from ocds.kernels import KernelSpec
+from ocds.kernels import KernelSpec, ensure_pd, gram
 from ocds.manifolds import (
     Euclidean,
     Product,
@@ -17,12 +17,14 @@ from ocds.manifolds import (
     Stiefel,
     tree_all_finite,
     tree_axpy,
+    tree_copy,
     tree_dot,
     tree_leaves,
     tree_scale,
 )
-from ocds.primal import GodsHyper, train_primal
+from ocds.primal import GodsHyper, build_primal_problem, train_primal
 from ocds.solver import (
+    _FD_STEP,
     _PROGRESS_RTOL,
     _PROGRESS_WINDOW,
     Objective,
@@ -75,6 +77,8 @@ def _non_increasing(trace):
         {"max_iters": float("nan")},
         {"max_iters": float("inf")},
         {"max_iters": "10"},
+        {"max_iters": True},
+        {"max_iters": False},
         {"grad_tol": -1e-6},
         {"grad_tol": float("nan")},
         {"grad_tol": float("inf")},
@@ -790,3 +794,55 @@ def test_gradient_check_walks_tuple_structured_points():
 
     point = (np.array([[1.0, -2.0]]), np.array([0.5, 1.5]))
     assert fd_gradient_check(Objective(cost, egrad), point) <= 1e-7
+
+
+def _leafwise_gradient_check(obj, point):
+    # the two-loop walk over leaves this check once had: the oracle for
+    # the one-loop walk over coordinates
+    analytic = tree_leaves(obj.egrad(point))
+    work = tree_copy(point)
+    fd = []
+    for leaf in tree_leaves(work):
+        g = np.zeros_like(leaf)
+        flat_leaf, flat_g = leaf.ravel(), g.ravel()
+        for j in range(flat_leaf.size):
+            orig = flat_leaf[j]
+            flat_leaf[j] = orig + _FD_STEP
+            f_plus = float(obj.cost(work))
+            flat_leaf[j] = orig - _FD_STEP
+            f_minus = float(obj.cost(work))
+            flat_leaf[j] = orig
+            flat_g[j] = (f_plus - f_minus) / (2.0 * _FD_STEP)
+        fd.append(g)
+    num = sum(float(np.sum((a - b) ** 2)) for a, b in zip(analytic, fd))
+    den = sum(float(np.sum(a * a)) for a in analytic)
+    return float(np.sqrt(num) / max(1.0, np.sqrt(den)))
+
+
+def _gradcheck_problems():
+    x = np.random.default_rng(0).standard_normal((12, 5))
+    primal = build_primal_problem(x, GodsHyper(variant="gods_n", k=2, normalize=False))
+    xk = np.random.default_rng(1).standard_normal((8, 3))
+    gram_pd, _ = ensure_pd(gram(KernelSpec(family="rbf", sigma=0.8), xk))
+    kods_manifold, kods_objective = ocds.kods.build_kods_problem(gram_pd, ocds.kods.KodsHyper(k=2))
+    obj, man, _, _ = _two_factor_problem()
+    return {"primal": (primal.manifold, primal.objective),
+            "kods": (kods_manifold, kods_objective),
+            "two_factor": (man, obj)}
+
+
+@pytest.mark.parametrize("name", ["primal", "kods", "two_factor"])
+def test_gradient_check_matches_the_leafwise_walk(name):
+    man, obj = _gradcheck_problems()[name]
+    for seed in range(3):
+        point = man.random_point(seed)
+        ref = _leafwise_gradient_check(obj, point)
+        assert abs(fd_gradient_check(obj, point) - ref) <= 4 * np.finfo(float).eps * (1 + abs(ref))
+
+
+def test_gradient_check_perturbs_leaves_of_any_memory_layout():
+    # a Fortran-ordered leaf ravels to a copy; the check must edit the leaf
+    obj = Objective(cost=lambda w: float(np.sum(w ** 3)), egrad=lambda w: 3.0 * w ** 2)
+    w = np.asfortranarray(np.arange(1.0, 7.0).reshape(3, 2))
+    assert fd_gradient_check(obj, w) <= 1e-7
+    assert fd_gradient_check(obj, np.ascontiguousarray(w)) <= 1e-7
