@@ -17,7 +17,7 @@ import numpy as np
 
 from . import errors
 from .data import SYNTH_KINDS, SYNTH_PARAMS, Dataset, load_csv, one_class_split, synth, write_csv
-from .inference import anomaly_score, calibrate_eta, classify, compute_metrics, roc_points
+from .inference import _cut_counts, anomaly_score, calibrate_eta, classify, compute_metrics, roc_points
 from .kernels import FAMILIES, KernelSpec, ensure_pd, gram
 from .kods import KodsHyper, KodsModel, build_kods_problem, kods_scores_batch, kods_train
 from .persistence import data_fingerprint, load_model, save_model
@@ -242,7 +242,7 @@ def cmd_calibrate(args) -> int:
             f"calibration needs a validation set with both classes; found labels {sorted(distinct)}"
         )
     eta = model.eta_effective
-    eta_prime = calibrate_eta(list(s1), list(s2), eta)
+    eta_prime = calibrate_eta(s1, s2, eta)
     calibrated = replace(model, eta_effective=float(eta_prime))
     save_model(
         calibrated,
@@ -315,17 +315,11 @@ def _best_f1(s1: np.ndarray, s2: np.ndarray, eta: float, truth: np.ndarray) -> f
     The benchmark therefore reports each split's best operating point on
     the scalar score, the threshold-free summary the table targets.
 
-    Each distinct score is a cut predicting in-class for score <= cut; one
-    pass over the sorted scores gives every cut's compute_metrics F1.
+    Each distinct score is a cut predicting in-class for score <= cut; the
+    threshold sweep's counts give every cut's compute_metrics F1.
     """
-    scores = anomaly_score(s1, s2, eta)
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    t = np.asarray(truth, dtype=bool)[order]
-    last = np.flatnonzero(np.r_[s[1:] != s[:-1], s.size > 0])  # end of each tie run
-    tp = np.cumsum(t)[last]
-    fp = np.cumsum(~t)[last]
-    fn = int(t.sum()) - tp
+    tp, fp = _cut_counts(truth, anomaly_score(s1, s2, eta))
+    fn = tp[-1:] - tp  # tp[-1] counts every in-class row; no rows, no cuts
     # Every cut predicts at least one row in-class, so 2tp + fp >= 1.
     return float((2 * tp / (2 * tp + fp + fn)).max(initial=0.0))
 

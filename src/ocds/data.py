@@ -353,8 +353,8 @@ def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
     """
     if kind not in SYNTH_KINDS:
         raise DataError(f"unknown synthetic kind {kind!r}; choose from {SYNTH_KINDS}")
-    if n < 1:
-        raise DataError(f"synth needs n >= 1, got {n}")
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+        raise DataError(f"synth needs an integer n >= 1, got {n!r}")
     unknown = sorted(set(params) - set(SYNTH_PARAMS[kind]))
     if unknown:
         raise DataError(f"unknown parameters for synth kind {kind!r}: {unknown}")

@@ -5,18 +5,23 @@ classifier, s2 the largest response of the upper one. A point is in-class
 when s1 >= eta and s2 <= -eta simultaneously. The in-class label is the
 positive class for every metric here.
 
+Every ranking metric (roc_points, AUC, the CLI's best F1) reads one
+threshold sweep, _cut_counts, which checks that the ground truth and the
+scores are matching 1-D arrays and that every score is finite.
+
 Undefined ratios (zero denominators) are reported as None rather than
 being coerced to 0, so a degenerate evaluation is visible instead of
 silently optimistic.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DomainError
 
 __all__ = [
     "ConfusionCounts",
@@ -66,33 +71,33 @@ def anomaly_score(s1, s2, eta: float):
     return np.maximum(eta - s1, s2 + eta)
 
 
+def _finite_1d(values, what: str) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1 or not np.isfinite(v).all():
+        raise DataError(f"{what} must be a 1-D array of finite values, got shape {v.shape}")
+    return v
+
+
 def two_means(values) -> tuple[float, float]:
-    """Exact 1-D 2-means: enumerate every split of the sorted values and
-    return the (low mean, high mean) pair of the split with the smallest
-    within-cluster sum of squares. Ties keep the first (smallest) split."""
-    v = np.sort(np.asarray(values, dtype=np.float64))
+    """Exact 1-D 2-means: score every split of the sorted values and return
+    the (low mean, high mean) pair of the split with the smallest
+    within-cluster sum of squares. Ties keep the first (smallest) split: the
+    first whose sum is within 1e-15 * max(1, |min|) of the minimum."""
+    v = np.sort(_finite_1d(values, "two_means values"))
     n = v.size
     if n < 2 or v[0] == v[-1]:
         raise DataError("two_means needs at least two distinct values")
+    # An optimal 1-D 2-means partition is always a split of the sorted order.
+    i = np.arange(1, n)  # split i puts the first i values in the low cluster
     csum = np.cumsum(v)
     csq = np.cumsum(v * v)
-    total_sum, total_sq = csum[-1], csq[-1]
-    best = None
-    best_i = 0
-    # An optimal 1-D 2-means partition is always a split of the sorted order.
-    for i in range(1, n):
-        left_sum, left_sq = csum[i - 1], csq[i - 1]
-        right_sum = total_sum - left_sum
-        right_sq = total_sq - left_sq
-        wcss = (left_sq - left_sum * left_sum / i) + (
-            right_sq - right_sum * right_sum / (n - i)
-        )
-        if best is None or wcss < best - 1e-15 * max(1.0, abs(best)):
-            best = wcss
-            best_i = i
-    lo = float(csum[best_i - 1] / best_i)
-    hi = float((total_sum - csum[best_i - 1]) / (n - best_i))
-    return lo, hi
+    left_sum, left_sq = csum[:-1], csq[:-1]
+    right_sum = csum[-1] - left_sum
+    right_sq = csq[-1] - left_sq
+    wcss = (left_sq - left_sum * left_sum / i) + (right_sq - right_sum * right_sum / (n - i))
+    best = wcss.min()
+    j = np.argmax(wcss <= best + 1e-15 * max(1.0, abs(best)))
+    return float(left_sum[j] / i[j]), float(right_sum[j] / (n - i[j]))
 
 
 def calibrate_eta(scores_l, scores_u, eta: float) -> float:
@@ -102,8 +107,11 @@ def calibrate_eta(scores_l, scores_u, eta: float) -> float:
     validation set, scores_u the upper-classifier responses (s2 values).
     Each list is clustered into two groups; the adjustment moves eta by
     half the unsatisfied-margin gap of the cluster centers. Degenerate
-    inputs (too few distinct scores) leave eta unchanged with a warning.
+    inputs (too few distinct or non-finite scores) leave eta unchanged
+    with a warning; a non-finite or non-positive eta raises DomainError.
     """
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise DomainError(f"eta must be positive and finite, got {eta}")
     try:
         c_l = two_means(scores_l)
         c_u = two_means(scores_u)
@@ -164,12 +172,8 @@ def compute_metrics(
 
     auc = None
     if scores is not None:
-        s = np.asarray(scores, dtype=np.float64)
-        if s.shape != truth.shape:
-            raise DataError(
-                f"scores shape {s.shape} does not match ground truth {truth.shape}"
-            )
-        auc = _auc(truth, s)
+        roc = _roc(*_cut_counts(truth, scores))
+        auc = None if roc is None else float(np.trapezoid(roc[1], roc[0]))
 
     return EvalReport(
         accuracy=float(accuracy),
@@ -184,6 +188,30 @@ def compute_metrics(
     )
 
 
+def _cut_counts(ground_truth, scores) -> tuple[np.ndarray, np.ndarray]:
+    """The threshold sweep: the in-class and anomalous row counts at or below
+    each distinct score, ascending. DataError unless truth and scores are
+    matching 1-D arrays of finite scores; empty input gives empty counts."""
+    truth = np.asarray(ground_truth, dtype=bool)
+    s = _finite_1d(scores, "scores")
+    if truth.shape != s.shape:
+        raise DataError(f"ground truth {truth.shape} and scores {s.shape} must match in shape")
+    order = np.argsort(s, kind="mergesort")
+    s, truth = s[order], truth[order]
+    last = np.flatnonzero(np.r_[s[1:] != s[:-1], s.size > 0])  # end of each tie run
+    return np.cumsum(truth)[last], np.cumsum(~truth)[last]
+
+
+def _roc(cum_in: np.ndarray, cum_anom: np.ndarray):
+    """(fpr, tpr) from the sweep's counts, or None when a class is empty.
+    The descending cut at each distinct score flags the rows not below it."""
+    if cum_in.size == 0 or cum_in[-1] == 0 or cum_anom[-1] == 0:
+        return None
+    fp = cum_in[-1] - np.r_[0, cum_in[:-1]][::-1]
+    tp = cum_anom[-1] - np.r_[0, cum_anom[:-1]][::-1]
+    return np.r_[0.0, fp / cum_in[-1]], np.r_[0.0, tp / cum_anom[-1]]
+
+
 def roc_points(ground_truth, scores) -> tuple[np.ndarray, np.ndarray]:
     """ROC curve for detecting anomalies by thresholding the anomaly score.
 
@@ -191,26 +219,7 @@ def roc_points(ground_truth, scores) -> tuple[np.ndarray, np.ndarray]:
     (0, 0) and ending at (1, 1). Anomalies (ground_truth False) are the
     detection positives. Raises DataError when either class is empty.
     """
-    truth = np.asarray(ground_truth, dtype=bool)
-    s = np.asarray(scores, dtype=np.float64)
-    n_anom = int(np.sum(~truth))
-    n_in = int(np.sum(truth))
-    if n_anom == 0 or n_in == 0:
+    roc = _roc(*_cut_counts(ground_truth, scores))
+    if roc is None:
         raise DataError("roc needs both classes present")
-    order = np.argsort(-s, kind="mergesort")
-    is_anom = (~truth)[order]
-    sorted_scores = s[order]
-    cum_tp = np.cumsum(is_anom)
-    cum_fp = np.cumsum(~is_anom)
-    # Keep one operating point per distinct threshold (ties collapse).
-    boundary = np.r_[np.flatnonzero(np.diff(sorted_scores) != 0.0), s.size - 1]
-    tpr = np.r_[0.0, cum_tp[boundary] / n_anom]
-    fpr = np.r_[0.0, cum_fp[boundary] / n_in]
-    return fpr, tpr
-
-
-def _auc(truth: np.ndarray, scores: np.ndarray) -> float | None:
-    if np.all(truth) or not np.any(truth):
-        return None
-    fpr, tpr = roc_points(truth, scores)
-    return float(np.trapezoid(tpr, fpr))
+    return roc

@@ -166,8 +166,8 @@ def ensure_pd(k: np.ndarray):
     a non-finite entry raises ConditioningError at once.
     """
     k = np.asarray(k, dtype=np.float64)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise DimensionError(f"ensure_pd expects a square matrix, got shape {k.shape}")
+    if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] == 0:
+        raise DimensionError(f"ensure_pd expects a non-empty square matrix, got shape {k.shape}")
     n = k.shape[0]
     _check_symmetric(k, "ensure_pd: matrix")
     ksym = (k + k.T) / 2.0  # bitwise no-op when k is already exactly symmetric

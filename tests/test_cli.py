@@ -584,6 +584,10 @@ def test_best_f1_edge_cases(s1, s2, truth, want):
     assert _best_f1(s1, s2, 0.3, truth) == _best_f1_by_cut(s1, s2, 0.3, truth) == want
 
 
+def test_best_f1_of_no_rows_is_zero():
+    assert _best_f1(np.array([]), np.array([]), 0.3, np.array([], dtype=bool)) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # bench-uci
 

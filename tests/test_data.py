@@ -486,3 +486,9 @@ def test_synth_errors():
         synth("ring", 10, r_in=1.0, r_out=0.5)
     with pytest.raises(DataError, match="height"):
         synth("ring3d", 10, height=0.0)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3"])
+def test_synth_rejects_a_non_integer_row_count(n):
+    with pytest.raises(DataError, match="integer n >= 1"):
+        synth("ring", n)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from ocds.errors import DataError
+from ocds.errors import DataError, DomainError
 from ocds.inference import (
     ETA_FLOOR,
     anomaly_score,
@@ -106,6 +106,58 @@ def test_two_means_rejects_degenerate_input():
         two_means([2.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("values", [
+    [0.1, 0.2, np.nan, 0.9],
+    [0.1, np.inf, 0.9],
+    [[0.1, 0.2], [0.5, 0.9]],
+], ids=["nan", "inf", "2-d"])
+def test_two_means_rejects_non_finite_or_non_vector_input(values):
+    with pytest.raises(DataError, match="1-D array of finite values"):
+        two_means(values)
+
+
+def _two_means_loop(values):
+    # Reference: every split in a Python loop, keeping a running best that a
+    # later split must beat by the tolerance.
+    v = np.sort(np.asarray(values, dtype=np.float64))
+    n = v.size
+    csum, csq = np.cumsum(v), np.cumsum(v * v)
+    best, best_i = None, 0
+    for i in range(1, n):
+        left_sum, left_sq = csum[i - 1], csq[i - 1]
+        right_sum, right_sq = csum[-1] - left_sum, csq[-1] - left_sq
+        wcss = (left_sq - left_sum * left_sum / i) + (right_sq - right_sum * right_sum / (n - i))
+        if best is None or wcss < best - 1e-15 * max(1.0, abs(best)):
+            best, best_i = wcss, i
+    return float(csum[best_i - 1] / best_i), float((csum[-1] - csum[best_i - 1]) / (n - best_i))
+
+
+def test_two_means_equals_the_split_loop_on_tie_heavy_input():
+    # The loop kept a running best and the vector form takes the first split
+    # within the tolerance of the minimum; they part only on chains of
+    # near-ties 1e-15 apart in absolute terms, which these scales never reach.
+    rng = np.random.default_rng(11)
+    for case in range(400):
+        n = int(rng.integers(2, 40))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        if case % 2:
+            v = rng.integers(0, 4, n) * scale
+        else:
+            v = np.round(rng.normal(0.0, 1.0, n), 1) * scale
+        if np.unique(v).size < 2:
+            continue
+        assert two_means(v) == _two_means_loop(v)
+
+
+def test_two_means_takes_the_first_split_within_the_tolerance():
+    # Split sums of squares 2.07e-15, 1.45e-15 and 4.7e-16: the second is
+    # within the absolute 1e-15 floor of the minimum, so it wins. The running
+    # best loop stepped from the first straight to the third.
+    v = [0.0, 2e-8, 3e-8, 8e-8]
+    assert two_means(v) == (1e-8, 5.5e-8)
+    assert _two_means_loop(v) == (5e-8 / 3, 8e-8)
+
+
 # ---------------------------------------------------------------------------
 # calibrate_eta
 
@@ -154,6 +206,18 @@ def test_calibrate_degenerate_scores_warn_and_pass_through():
     with pytest.warns(UserWarning, match="left at"):
         eta = calibrate_eta([0.4, 0.4, 0.4], [-0.5, -0.45, -0.6], 0.3)
     assert eta == 0.3
+
+
+def test_calibrate_non_finite_scores_warn_and_pass_through():
+    with pytest.warns(UserWarning, match="finite"):
+        eta = calibrate_eta([0.1, 0.12, np.nan, 0.52], [-0.5, -0.48, -0.12, -0.1], 0.3)
+    assert eta == 0.3
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -1.0, 0.0])
+def test_calibrate_rejects_a_bad_starting_threshold(eta):
+    with pytest.raises(DomainError, match="eta must be positive and finite"):
+        calibrate_eta([0.1, 0.12, 0.5, 0.52], [-0.5, -0.48, -0.12, -0.1], eta)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +289,10 @@ def test_metrics_validation():
         compute_metrics(np.ones(3, bool), np.ones(4, bool))
     with pytest.raises(DataError):
         compute_metrics(np.array([], dtype=bool), np.array([], dtype=bool))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="must match in shape"):
         compute_metrics(np.ones(3, bool), np.ones(3, bool), scores=np.zeros(2))
+    with pytest.raises(DataError, match="finite"):
+        compute_metrics(np.ones(3, bool), np.ones(3, bool), scores=[0.0, np.nan, 1.0])
 
 
 def test_metrics_auc_none_when_truth_is_single_class():
@@ -260,6 +326,20 @@ def test_roc_collapses_tied_scores():
 def test_roc_requires_both_classes():
     with pytest.raises(DataError):
         roc_points(np.ones(5, bool), np.arange(5.0))
+    with pytest.raises(DataError, match="roc needs both classes present"):
+        roc_points(np.array([], dtype=bool), np.array([]))
+
+
+@pytest.mark.parametrize("scores", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]], ids=["short", "long"])
+def test_roc_rejects_scores_of_another_length(scores):
+    with pytest.raises(DataError, match="must match in shape"):
+        roc_points([True, False, True], scores)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_roc_rejects_non_finite_scores(bad):
+    with pytest.raises(DataError, match="finite"):
+        roc_points([True, False, True], [1.0, bad, 0.5])
 
 
 def test_auc_perfect_and_inverted():
@@ -279,3 +359,19 @@ def test_auc_of_random_scores_averages_to_half():
         rep = compute_metrics(truth, truth, scores=scores)
         aucs.append(rep.auc)
     assert abs(float(np.mean(aucs)) - 0.5) <= 0.05
+
+
+def test_auc_equals_the_mann_whitney_statistic_with_ties():
+    # Each (anomaly, in-class) pair scores 1 when the anomaly scores higher
+    # and 1/2 on a tie; rounding to one decimal makes many ties.
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        truth = rng.random(n) < 0.5
+        if truth.all() or not truth.any():
+            continue
+        scores = np.round(rng.normal(0.0, 1.0, n), 1)
+        a, b = scores[~truth][:, None], scores[truth][None, :]
+        mann_whitney = ((a > b).sum() + 0.5 * (a == b).sum()) / (a.size * b.size)
+        auc = compute_metrics(truth, truth, scores=scores).auc
+        assert abs(auc - mann_whitney) <= 4 * np.finfo(float).eps

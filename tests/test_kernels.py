@@ -295,6 +295,11 @@ def test_ensure_pd_rejects_non_square():
         ensure_pd(np.zeros((2, 3)))
 
 
+def test_ensure_pd_rejects_an_empty_matrix():
+    with pytest.raises(DimensionError, match="non-empty"):
+        ensure_pd(np.zeros((0, 0)))
+
+
 def test_ensure_pd_symmetrizes_roundoff_asymmetry():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 4))
