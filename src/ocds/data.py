@@ -44,6 +44,9 @@ SYNTH_KINDS = tuple(SYNTH_PARAMS)
 # unmapped, which raises that threshold, and then a process that writes
 # 4000x60 rows peaks ~28 MB higher (seen at 2**15).
 _CSV_BLOCK_VALUES = 2**12
+# Values per scratch block of squares in _unit_rows: 64 KB, under the same
+# threshold.
+_NORM_BLOCK_VALUES = 2**13
 
 
 @dataclass
@@ -218,28 +221,57 @@ def write_csv(dataset: Dataset, path) -> None:
 
 def l2_normalize(x: np.ndarray) -> np.ndarray:
     """Scale every row to unit Euclidean norm. Zero rows are left alone and
-    counted in a warning."""
+    counted in a warning; a row with a non-finite entry raises DataError."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"l2_normalize expects a 2-D array, got shape {x.shape}")
+    rows, norms = _unit_rows(x)
+    return rows / norms[:, None]
+
+
+def _unit_rows(x: np.ndarray, stacklevel: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, norms) of a 2-D float64 array, with rows / norms[:, None]
+    bit for bit l2_normalize(x).
+
+    norms are np.linalg.norm(x, axis=1) bit for bit; for a C-ordered x the
+    squares go through one scratch block, not an (n, d) temporary. rows is
+    x, or a copy in which each nonzero row whose squared norm under- or
+    overflows is divided by its largest magnitude. A zero row gets norm
+    1.0 (dividing by it keeps -0.0) and is counted in a warning raised
+    stacklevel frames up. A non-finite row, found from the norms, raises
+    DataError.
+    """
+    n, d = x.shape
     with np.errstate(over="ignore"):
-        sq = x * x
-    norms = np.sqrt(sq.sum(axis=1))  # np.linalg.norm(x, axis=1), bit for bit
+        if x.flags.c_contiguous:
+            norms = np.empty(n)
+            step = max(1, _NORM_BLOCK_VALUES // max(d, 1))
+            scratch = np.empty((min(step, n), d))
+            for start in range(0, n, step):
+                block = x[start:start + step]
+                sq = np.multiply(block, block, out=scratch[:block.shape[0]])
+                np.sum(sq, axis=1, out=norms[start:start + step])
+        else:
+            # numpy sums the rows of another memory order in another order.
+            norms = np.sum(x * x, axis=1)
+    np.sqrt(norms, out=norms)
+    rows = x
     nz = norms > 0.0
-    # Dividing a zero row by 1 leaves it bit for bit as it was, -0.0 included.
-    out = np.divide(x, np.where(nz, norms, 1.0)[:, None], out=sq)
-    # A nonzero row whose squared norm under- or overflows is first divided
-    # by its largest magnitude; every other row keeps the quotient above.
     if not (nz.all() and norms.max(initial=0.0) < np.inf):
-        suspect = np.flatnonzero(~nz | np.isinf(norms))
+        suspect = np.flatnonzero(~nz | np.isinf(norms))  # NaN norms fail nz
+        _reject_non_finite(suspect[~np.isfinite(x[suspect]).all(axis=1)])
         redo = suspect[x[suspect].any(axis=1)]
-        rows = x[redo] / np.abs(x[redo]).max(axis=1, keepdims=True, initial=0.0)
-        out[redo] = rows / np.linalg.norm(rows, axis=1)[:, None]
+        if redo.size:
+            rows = x.copy(order="K")
+            rows[redo] /= np.abs(x[redo]).max(axis=1, keepdims=True)
+            norms[redo] = np.linalg.norm(rows[redo], axis=1)
         nz[redo] = True
+        norms[~nz] = 1.0
     zeros = int((~nz).sum())
     if zeros:
-        warnings.warn(f"l2_normalize: {zeros} zero row(s) left unscaled", stacklevel=2)
-    return out
+        warnings.warn(f"l2_normalize: {zeros} zero row(s) left unscaled",
+                      stacklevel=stacklevel)
+    return rows, norms
 
 
 def _training_rows(x) -> np.ndarray:
@@ -266,12 +298,24 @@ def _check_hyper(k, eta, lam) -> None:
         raise DomainError(f"lam must be finite and >= 0, got {lam}")
 
 
-def _query_rows(x, dim: int, normalize: bool) -> np.ndarray:
-    """Rows of length dim to score, l2-normalized if the model was trained so."""
+def _query_rows(x, dim: int, normalize: bool):
+    """(rows, norms) of the rows of length dim to score. When the model was
+    trained on l2-normalized rows, they are _unit_rows(x), with a zero-row
+    warning attributed to the scorer's caller; otherwise rows is x and
+    norms is None. A row with a non-finite entry raises DataError."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != dim:
         raise DimensionError(f"expected rows of length {dim}, got shape {x.shape}")
-    return l2_normalize(x) if normalize else x
+    if normalize:
+        return _unit_rows(x, stacklevel=4)
+    _reject_non_finite(np.flatnonzero(~np.isfinite(x).all(axis=1)))
+    return x, None
+
+
+def _reject_non_finite(bad: np.ndarray) -> None:
+    """DataError naming the first of the rows `bad`, if there are any."""
+    if bad.size:
+        raise DataError(f"row {bad[0]} has non-finite values ({bad.size} such row(s))")
 
 
 def _score_one(score_batch, model, x, dim: int) -> tuple[float, float]:

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 ETA_FLOOR = 1e-6  # calibrated thresholds are clamped here to stay positive
+_TWO_MEANS_SCALE_ABOVE = 2.0**500  # two_means rescales values past this
 
 
 @dataclass
@@ -82,22 +83,38 @@ def two_means(values) -> tuple[float, float]:
     """Exact 1-D 2-means: score every split of the sorted values and return
     the (low mean, high mean) pair of the split with the smallest
     within-cluster sum of squares. Ties keep the first (smallest) split: the
-    first whose sum is within 1e-15 * max(1, |min|) of the minimum."""
+    first whose sum is within 1e-15 * max(1, |min|) of the minimum.
+
+    Values past 2**500 in magnitude are first brought below 1 by a power
+    of two, and the means scaled back; values under 2**-1022 of the
+    largest then lose bits. Sums of squares that still overflow (thousands
+    of values near 2**500) raise DataError."""
     v = np.sort(_finite_1d(values, "two_means values"))
     n = v.size
     if n < 2 or v[0] == v[-1]:
         raise DataError("two_means needs at least two distinct values")
+    shift = 0
+    top = max(-v[0], v[-1])
+    if top > _TWO_MEANS_SCALE_ABOVE:
+        shift = int(np.frexp(top)[1])
+        v = np.ldexp(v, -shift)
     # An optimal 1-D 2-means partition is always a split of the sorted order.
     i = np.arange(1, n)  # split i puts the first i values in the low cluster
-    csum = np.cumsum(v)
-    csq = np.cumsum(v * v)
-    left_sum, left_sq = csum[:-1], csq[:-1]
-    right_sum = csum[-1] - left_sum
-    right_sq = csq[-1] - left_sq
-    wcss = (left_sq - left_sum * left_sum / i) + (right_sq - right_sum * right_sum / (n - i))
+    with np.errstate(over="ignore", invalid="ignore"):
+        csum = np.cumsum(v)
+        csq = np.cumsum(v * v)
+        left_sum, left_sq = csum[:-1], csq[:-1]
+        right_sum = csum[-1] - left_sum
+        right_sq = csq[-1] - left_sq
+        wcss = (left_sq - left_sum * left_sum / i) + (right_sq - right_sum * right_sum / (n - i))
+    if not np.isfinite(wcss).all():
+        raise DataError(
+            f"two_means: sums of squares overflow for {n} values up to {top:.3g} in magnitude"
+        )
     best = wcss.min()
     j = np.argmax(wcss <= best + 1e-15 * max(1.0, abs(best)))
-    return float(left_sum[j] / i[j]), float(right_sum[j] / (n - i[j]))
+    return (float(np.ldexp(left_sum[j] / i[j], shift)),
+            float(np.ldexp(right_sum[j] / (n - i[j]), shift)))
 
 
 def calibrate_eta(scores_l, scores_u, eta: float) -> float:

@@ -241,9 +241,12 @@ def kods_scores_batch(model: KodsModel, x: np.ndarray):
 
     Rows are scored in chunks of _SCORE_CHUNK: each chunk takes one
     n_support x chunk cross-Gram, so the n_support x m one is never held
-    whole. A row's scores do not depend on the chunk it falls in.
+    whole. A row's scores do not depend on the chunk it falls in. A row
+    with a non-finite entry raises DataError.
     """
-    x = _query_rows(x, model.support.shape[1], model.normalization)
+    x, norms = _query_rows(x, model.support.shape[1], model.normalization)
+    if norms is not None:
+        x = x / norms[:, None]
     z2 = model.duals.z * model.duals.z
     y2 = model.duals.y * model.duals.y
     s1 = np.empty(x.shape[0])

@@ -29,6 +29,13 @@ over contiguous rows; on an (n, K) layout numpy reduces along a length-K
 inner axis, its slow path, which costs more than the product itself. The
 gradient folds the lead term and both hinges into one residual block of
 the same shape, so it takes one product with x for both frames.
+
+Training normalizes its rows before the fit. Scoring instead applies the
+normalization to the response block: W^T (x / |x|) = (W^T x) / |x|, so
+it takes one product with the raw rows and divides each column by its
+row's norm before adding the intercepts. The two orders round
+differently, so a score may differ by a few ulp from the training-time
+response to the same row.
 """
 from __future__ import annotations
 
@@ -136,15 +143,19 @@ class TrainedPrimalModel:
 # for any input, so finite-difference probes may step off the manifold.
 
 
-def _responses(frames: FramePair, x: np.ndarray) -> np.ndarray:
+def _responses(frames: FramePair, x: np.ndarray, norms=None) -> np.ndarray:
     """Responses of both frames to the rows of x as one (2K, n) block
-    [W1 W2]^T x^T + [b1; b2], with gods_n's diag(r) applied first."""
+    [W1 W2]^T x^T + [b1; b2], with gods_n's diag(r) applied first. Given
+    row norms, column j of the product is divided by norms[j] before the
+    intercepts are added: the responses to the rows x / norms[:, None]."""
     w1, w2 = frames.w1, frames.w2
     if frames.r1 is not None:
         w1 = w1 * frames.r1
     if frames.r2 is not None:
         w2 = w2 * frames.r2
     p = np.concatenate((w1, w2), axis=1).T @ x.T
+    if norms is not None:
+        p /= norms
     p += np.concatenate((frames.b1, frames.b2))[:, None]
     return p
 
@@ -422,10 +433,17 @@ def primal_scores(model: TrainedPrimalModel, x: np.ndarray) -> tuple[float, floa
 
 
 def primal_scores_batch(model: TrainedPrimalModel, x: np.ndarray):
-    """Vectorized (s1, s2) arrays over the rows of x. Applies the model's
-    stored normalization; gods_n applies its diag(r) scaling first."""
-    x = _query_rows(x, model.feature_dim, model.normalization)
-    return _extremes(_responses(model.frames, x), model.hyper.k)
+    """Vectorized (s1, s2) arrays over the rows of x; gods_n applies its
+    diag(r) scaling first.
+
+    The model's stored normalization is applied to the response block,
+    not to the rows: each row's responses are divided by its norm before
+    the intercepts are added, so no normalized copy of x is made. A score
+    may therefore differ by a few ulp from the training-time response to
+    the same row. A row with a non-finite entry raises DataError.
+    """
+    rows, norms = _query_rows(x, model.feature_dim, model.normalization)
+    return _extremes(_responses(model.frames, rows, norms), model.hyper.k)
 
 
 def frame_feasibility(model: TrainedPrimalModel) -> float:

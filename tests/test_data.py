@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ocds.data import Dataset, l2_normalize, load_csv, one_class_split, synth, write_csv
+from ocds.data import (Dataset, _unit_rows, l2_normalize, load_csv, one_class_split, synth,
+                       write_csv)
 from ocds.errors import DataError, DimensionError, SchemaError
 
 
@@ -345,6 +346,57 @@ def test_l2_normalize_rescales_rows_whose_squared_norm_under_or_overflows():
 def test_l2_normalize_rejects_vectors():
     with pytest.raises(DimensionError):
         l2_normalize(np.ones(3))
+
+
+def _awkward_rows(n, d, seed):
+    """Rows at scales 1e-100 to 1e100, with zero and -0.0 rows and rows whose
+    squared norm under- or overflows."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-100, 100, (n, 1))
+    x[::7] = 0.0
+    x[3::11] = -0.0
+    x[1::13] = 3e-170 * np.sign(rng.standard_normal((x[1::13].shape[0], d)))
+    x[2::17] = 3e160
+    x[5::19] = 1e154  # each square is finite, their sum is not
+    return x
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "column slice"])
+@pytest.mark.parametrize("shape", [(1, 3), (4000, 60), (20000, 2), (137, 61), (9, 9000)])
+def test_unit_rows_reproduce_l2_normalize_bit_for_bit(shape, layout):
+    x = _awkward_rows(shape[0], shape[1] * (2 if layout == "column slice" else 1), 8)
+    x = {"C": x, "F": np.asfortranarray(x), "column slice": x[:, ::2]}[layout]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        rows, norms = _unit_rows(x)
+        out = l2_normalize(x)
+    assert (rows / norms[:, None]).tobytes() == out.tobytes()
+    with np.errstate(over="ignore"):
+        ref = np.linalg.norm(x, axis=1)
+    ordinary = (ref > 0.0) & (ref < np.inf)  # rows kept as they are
+    assert norms[ordinary].tobytes() == ref[ordinary].tobytes()
+    assert rows[ordinary].tobytes() == x[ordinary].tobytes()
+
+
+def test_l2_normalize_warns_nothing_when_a_squared_norm_sum_overflows():
+    # 1e154**2 is finite but the sum of two of them is not: the row is
+    # rescaled like any other overflowing row, with no RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = l2_normalize(np.array([[1e154, 1e154], [3.0, 4.0]]))
+    np.testing.assert_array_equal(out, [[1.0 / np.sqrt(2.0)] * 2, [0.6, 0.8]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_l2_normalize_rejects_non_finite_rows_naming_the_first(bad):
+    x = np.ones((6, 3))
+    x[2, 1] = bad
+    x[4, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"row 2 has non-finite values \(2 such row"):
+            l2_normalize(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Decision rule, threshold calibration, metrics, ROC."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,24 @@ def test_two_means_rejects_degenerate_input():
 def test_two_means_rejects_non_finite_or_non_vector_input(values):
     with pytest.raises(DataError, match="1-D array of finite values"):
         two_means(values)
+
+
+def test_two_means_past_2_to_the_500_scales_instead_of_overflowing():
+    # v * v overflows here; the old code returned split 1, (0.0, 1.37e200).
+    v = [0.0, 1.0, 2e200, 2.1e200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert two_means(v) == (0.5, (2e200 + 2.1e200) / 2)
+        assert two_means([-1.7e308, 1.6e308, 1.7e308]) == (-1.7e308, 1.6e308 / 2 + 1.7e308 / 2)
+
+
+def test_two_means_raises_when_the_sums_of_squares_still_overflow():
+    v = np.full(10000, 2.0**500)
+    v[0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="overflow"):
+            two_means(v)
 
 
 def _two_means_loop(values):

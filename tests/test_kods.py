@@ -1,5 +1,6 @@
 """Kernelized dual model: objective, gradients, recovery, training, scoring."""
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -350,6 +351,23 @@ def test_scores_normalize_when_the_model_did():
     # agree exactly; any other scale can move the input by an ulp.
     v = np.array([0.3, -0.4, 0.5])
     assert kods_scores(model, v) == kods_scores(model, 4.0 * v)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_scores_reject_non_finite_rows_naming_the_first(normalize, bad):
+    # Unnormalized, an inf row has an rbf kernel of 0 against every support
+    # row, so it would score (b1, b2) instead of failing.
+    model = replace(_random_model(20, k=2), normalization=normalize)
+    x = np.ones((6, 2))
+    x[4, 1] = bad
+    x[5, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"row 4 has non-finite values \(2 such row"):
+            kods_scores_batch(model, x)
+        with pytest.raises(DataError, match=r"row 0 has non-finite values"):
+            kods_scores(model, x[4])
 
 
 def test_scores_dimension_validation():

@@ -1,10 +1,12 @@
 """Hyperplane-pair objectives, gradients, initialization, and training."""
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ocds.data import synth
+from ocds.data import l2_normalize, synth
 from ocds.errors import DataError, DimensionError, DomainError, NumericError
 from ocds.inference import classify
 from ocds.primal import (
@@ -23,6 +25,7 @@ from ocds.primal import (
     primal_scores_batch,
     train_primal,
 )
+from ocds.primal import _extremes, _responses
 from ocds.solver import Objective, SolverConfig, fd_gradient_check, minimize
 
 
@@ -627,6 +630,81 @@ def test_batch_scores_agree_with_the_scalar_path():
         s1, s2 = primal_scores(model, x[i])
         assert abs(s1 - s1b[i]) <= 1e-12
         assert abs(s2 - s2b[i]) <= 1e-12
+
+
+def _random_model(variant, d, seed):
+    """A model with frames the way training leaves them: orthonormal frames,
+    unit columns for bods and gods_o, scales for gods_n."""
+    rng = np.random.default_rng(seed)
+    k = 1 if variant == "bods" else min(3, d)
+
+    def frame():
+        w = np.linalg.qr(rng.standard_normal((d, k)))[0]
+        return w * rng.uniform(0.5, 2.0, k) if variant == "gods_e" else w
+
+    scales = (lambda: rng.uniform(0.1, 2.0, k)) if variant == "gods_n" else (lambda: None)
+    return _model(variant, frame(), rng.uniform(-1.0, 1.0, k), frame(),
+                  rng.uniform(-1.0, 1.0, k), r1=scales(), r2=scales(), normalize=True)
+
+
+@pytest.mark.filterwarnings("ignore:l2_normalize")
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d", [3, 20, 60])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_normalized_scores_match_the_scores_of_the_normalized_rows(variant, d, seed):
+    # Scoring divides the responses by the row norms; the reference scores
+    # the l2-normalized rows. The two round differently, by a few eps.
+    model = _random_model(variant, d, seed)
+    rng = np.random.default_rng(100 + seed)
+    q = rng.standard_normal((500, d)) * 10.0 ** rng.integers(-100, 100, (500, 1))
+    q[::7] = 0.0
+    q[3::11] = -0.0
+    q[1::13] = 3e-170   # squared norm underflows
+    q[2::17] = -3e160   # squared norm overflows
+    q[5::19] = 1e154    # each square is finite, their sum is not
+    got = primal_scores_batch(model, q)
+    want = _extremes(_responses(model.frames, l2_normalize(q)), model.hyper.k)
+    eps = np.finfo(np.float64).eps
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= 8.0 * eps * (1.0 + np.abs(w)))
+
+
+def test_scoring_zero_rows_warns_once_at_the_callers_line():
+    model = _random_model("gods", 4, 0)
+    q = np.ones((5, 4))
+    q[[1, 3]] = 0.0
+    with pytest.warns(UserWarning, match=r"l2_normalize: 2 zero row\(s\) left unscaled") as rec:
+        primal_scores_batch(model, q)
+    assert len(rec) == 1
+    assert rec[0].filename == __file__
+
+
+def test_normalized_scoring_makes_no_copy_of_the_rows():
+    model = _random_model("gods", 60, 0)
+    q = np.random.default_rng(3).standard_normal((4000, 60))
+    primal_scores_batch(model, q)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        primal_scores_batch(model, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < q.nbytes / 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_scores_reject_non_finite_rows_naming_the_first(normalize, bad):
+    model = replace(_random_model("gods", 3, 0), normalization=normalize)
+    q = np.ones((6, 3))
+    q[4, 2] = bad
+    q[5, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"row 4 has non-finite values \(2 such row"):
+            primal_scores_batch(model, q)
+        with pytest.raises(DataError, match=r"row 0 has non-finite values"):
+            primal_scores(model, q[4])
 
 
 # ---------------------------------------------------------------------------
