@@ -44,9 +44,6 @@ SYNTH_KINDS = tuple(SYNTH_PARAMS)
 # unmapped, which raises that threshold, and then a process that writes
 # 4000x60 rows peaks ~28 MB higher (seen at 2**15).
 _CSV_BLOCK_VALUES = 2**12
-# Values per scratch block of squares in _unit_rows: 64 KB, under the same
-# threshold.
-_NORM_BLOCK_VALUES = 2**13
 
 
 @dataclass
@@ -222,7 +219,7 @@ def write_csv(dataset: Dataset, path) -> None:
 def l2_normalize(x: np.ndarray) -> np.ndarray:
     """Scale every row to unit Euclidean norm. Zero rows are left alone and
     counted in a warning; a row with a non-finite entry raises DataError."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64, order="C")
     if x.ndim != 2:
         raise DimensionError(f"l2_normalize expects a 2-D array, got shape {x.shape}")
     rows, norms = _unit_rows(x)
@@ -230,31 +227,20 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(x: np.ndarray, stacklevel: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, norms) of a 2-D float64 array, with rows / norms[:, None]
+    """(rows, norms) of a C-ordered 2-D float64 array, with rows / norms[:, None]
     bit for bit l2_normalize(x).
 
-    norms are np.linalg.norm(x, axis=1) bit for bit; for a C-ordered x the
-    squares go through one scratch block, not an (n, d) temporary. rows is
-    x, or a copy in which each nonzero row whose squared norm under- or
+    norms are np.sqrt(np.einsum("ij,ij->i", rows, rows)), which makes no
+    (n, d) temporary; a row's norm is the same bits in any batch, except
+    alone with more than 8192 features, where einsum buffers it. rows is x,
+    or a copy in which each nonzero row whose squared norm under- or
     overflows is divided by its largest magnitude. A zero row gets norm
     1.0 (dividing by it keeps -0.0) and is counted in a warning raised
     stacklevel frames up. A non-finite row, found from the norms, raises
     DataError.
     """
-    n, d = x.shape
     with np.errstate(over="ignore"):
-        if x.flags.c_contiguous:
-            norms = np.empty(n)
-            step = max(1, _NORM_BLOCK_VALUES // max(d, 1))
-            scratch = np.empty((min(step, n), d))
-            for start in range(0, n, step):
-                block = x[start:start + step]
-                sq = np.multiply(block, block, out=scratch[:block.shape[0]])
-                np.sum(sq, axis=1, out=norms[start:start + step])
-        else:
-            # numpy sums the rows of another memory order in another order.
-            norms = np.sum(x * x, axis=1)
-    np.sqrt(norms, out=norms)
+        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     rows = x
     nz = norms > 0.0
     if not (nz.all() and norms.max(initial=0.0) < np.inf):
@@ -262,9 +248,9 @@ def _unit_rows(x: np.ndarray, stacklevel: int = 3) -> tuple[np.ndarray, np.ndarr
         _reject_non_finite(suspect[~np.isfinite(x[suspect]).all(axis=1)])
         redo = suspect[x[suspect].any(axis=1)]
         if redo.size:
-            rows = x.copy(order="K")
+            rows = x.copy()
             rows[redo] /= np.abs(x[redo]).max(axis=1, keepdims=True)
-            norms[redo] = np.linalg.norm(rows[redo], axis=1)
+            norms[redo] = np.sqrt(np.einsum("ij,ij->i", rows[redo], rows[redo]))
         nz[redo] = True
         norms[~nz] = 1.0
     zeros = int((~nz).sum())
@@ -277,7 +263,7 @@ def _unit_rows(x: np.ndarray, stacklevel: int = 3) -> tuple[np.ndarray, np.ndarr
 def _training_rows(x) -> np.ndarray:
     """A model's training matrix as float64, checked 2-D with at least one
     row and one feature column, and finite."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64, order="C")
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
         raise DataError(
             f"training data must be a 2-D array with at least one row and one "
@@ -303,7 +289,7 @@ def _query_rows(x, dim: int, normalize: bool):
     trained on l2-normalized rows, they are _unit_rows(x), with a zero-row
     warning attributed to the scorer's caller; otherwise rows is x and
     norms is None. A row with a non-finite entry raises DataError."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64, order="C")
     if x.ndim != 2 or x.shape[1] != dim:
         raise DimensionError(f"expected rows of length {dim}, got shape {x.shape}")
     if normalize:

@@ -83,7 +83,10 @@ def two_means(values) -> tuple[float, float]:
     """Exact 1-D 2-means: score every split of the sorted values and return
     the (low mean, high mean) pair of the split with the smallest
     within-cluster sum of squares. Ties keep the first (smallest) split: the
-    first whose sum is within 1e-15 * max(1, |min|) of the minimum.
+    first whose sum is within 1e-15 * max(min(1, top)**2, |min|) of the
+    minimum, top being the largest magnitude. Below top = 1 the floor
+    scales with the values, so scaling them by a power of two scales the
+    means by it.
 
     Values past 2**500 in magnitude are first brought below 1 by a power
     of two, and the means scaled back; values under 2**-1022 of the
@@ -112,7 +115,7 @@ def two_means(values) -> tuple[float, float]:
             f"two_means: sums of squares overflow for {n} values up to {top:.3g} in magnitude"
         )
     best = wcss.min()
-    j = np.argmax(wcss <= best + 1e-15 * max(1.0, abs(best)))
+    j = np.argmax(wcss <= best + 1e-15 * max(min(1.0, top) ** 2, abs(best)))
     return (float(np.ldexp(left_sum[j] / i[j], shift)),
             float(np.ldexp(right_sum[j] / (n - i[j]), shift)))
 

@@ -178,10 +178,10 @@ def ensure_pd(k: np.ndarray):
         jitter = 1e-10
     ceiling = 1e-2 * max(mean_diag, 0.0)
 
-    eps = 0.0
+    eps, k_pd = 0.0, ksym
     while True:
         try:
-            np.linalg.cholesky(ksym + eps * np.eye(n) if eps else ksym)
+            np.linalg.cholesky(k_pd)
         except np.linalg.LinAlgError:
             eps = jitter if eps == 0.0 else eps * 10.0
             if eps > ceiling:
@@ -189,8 +189,6 @@ def ensure_pd(k: np.ndarray):
                     f"jitter escalation exhausted at eps={eps:.3e} "
                     f"(ceiling {ceiling:.3e}) without reaching positive definiteness"
                 ) from None
-            continue
-        break
-    if eps:
-        return ksym + eps * np.eye(n), eps
-    return ksym, 0.0
+            k_pd = ksym + eps * np.eye(n)
+        else:
+            return k_pd, eps

@@ -308,9 +308,15 @@ def test_l2_normalize_leaves_zero_rows_and_warns():
     np.testing.assert_array_equal(out[0], [0.0, 0.0])
 
 
+def _einsum_norms(x):
+    """The package's row norm, over C-ordered rows."""
+    c = np.ascontiguousarray(x)
+    return np.sqrt(np.einsum("ij,ij->i", c, c))
+
+
 def _masked_l2_normalize(x):
     """Row normalization by masked fancy indexing: zero rows are skipped."""
-    norms = np.linalg.norm(x, axis=1)
+    norms = _einsum_norms(x)
     out = x.copy()
     nz = norms > 0.0
     out[nz] = out[nz] / norms[nz, None]
@@ -348,6 +354,11 @@ def test_l2_normalize_rejects_vectors():
         l2_normalize(np.ones(3))
 
 
+def test_l2_normalize_names_a_scalar_by_its_own_shape():
+    with pytest.raises(DimensionError, match=r"got shape \(\)"):
+        l2_normalize(3.0)
+
+
 def _awkward_rows(n, d, seed):
     """Rows at scales 1e-100 to 1e100, with zero and -0.0 rows and rows whose
     squared norm under- or overflows."""
@@ -366,17 +377,34 @@ def _awkward_rows(n, d, seed):
 def test_unit_rows_reproduce_l2_normalize_bit_for_bit(shape, layout):
     x = _awkward_rows(shape[0], shape[1] * (2 if layout == "column slice" else 1), 8)
     x = {"C": x, "F": np.asfortranarray(x), "column slice": x[:, ::2]}[layout]
+    c = np.ascontiguousarray(x)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         warnings.simplefilter("error", RuntimeWarning)
-        rows, norms = _unit_rows(x)
+        rows, norms = _unit_rows(c)
         out = l2_normalize(x)
+    assert out.flags.c_contiguous
     assert (rows / norms[:, None]).tobytes() == out.tobytes()
     with np.errstate(over="ignore"):
-        ref = np.linalg.norm(x, axis=1)
+        ref = _einsum_norms(x)
     ordinary = (ref > 0.0) & (ref < np.inf)  # rows kept as they are
     assert norms[ordinary].tobytes() == ref[ordinary].tobytes()
-    assert rows[ordinary].tobytes() == x[ordinary].tobytes()
+    assert rows[ordinary].tobytes() == c[ordinary].tobytes()
+    # The Euclidean norm, summed in another order: d squares, each rounded.
+    np.testing.assert_allclose(norms[ordinary], np.linalg.norm(c[ordinary], axis=1),
+                               rtol=c.shape[1] * np.finfo(np.float64).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 3, 60, 61, 1000, 8192])
+def test_a_row_norm_is_the_same_in_any_batch(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((50, d)) * 10.0 ** rng.integers(-50, 50, (50, 1))
+    _, whole = _unit_rows(x)
+    for start, stop in [(0, 1), (7, 8), (49, 50), (3, 20), (13, 50), (1, 3)]:
+        _, part = _unit_rows(x[start:stop])
+        assert part.tobytes() == whole[start:stop].tobytes()
+    _, shuffled = _unit_rows(x[::-1].copy())
+    assert shuffled[::-1].tobytes() == whole.tobytes()
 
 
 def test_l2_normalize_warns_nothing_when_a_squared_norm_sum_overflows():

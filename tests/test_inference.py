@@ -147,7 +147,7 @@ def _two_means_loop(values):
         left_sum, left_sq = csum[i - 1], csq[i - 1]
         right_sum, right_sq = csum[-1] - left_sum, csq[-1] - left_sq
         wcss = (left_sq - left_sum * left_sum / i) + (right_sq - right_sum * right_sum / (n - i))
-        if best is None or wcss < best - 1e-15 * max(1.0, abs(best)):
+        if best is None or wcss < best - 1e-15 * max(min(1.0, np.abs(v).max()) ** 2, abs(best)):
             best, best_i = wcss, i
     return float(csum[best_i - 1] / best_i), float((csum[-1] - csum[best_i - 1]) / (n - best_i))
 
@@ -170,12 +170,30 @@ def test_two_means_equals_the_split_loop_on_tie_heavy_input():
 
 
 def test_two_means_takes_the_first_split_within_the_tolerance():
-    # Split sums of squares 2.07e-15, 1.45e-15 and 4.7e-16: the second is
-    # within the absolute 1e-15 floor of the minimum, so it wins. The running
-    # best loop stepped from the first straight to the third.
+    # Split sums of squares 2.07e-15, 1.45e-15 and 4.7e-16. The tolerance
+    # floor is 1e-15 * (8e-8)**2, so only the minimum is within it; an
+    # absolute 1e-15 floor let the second split win.
     v = [0.0, 2e-8, 3e-8, 8e-8]
-    assert two_means(v) == (1e-8, 5.5e-8)
+    assert two_means(v) == (5e-8 / 3, 8e-8)
     assert _two_means_loop(v) == (5e-8 / 3, 8e-8)
+    for scale in (1.0, 2.0**-30, 2.0**-60):  # an exact tie keeps the first split
+        assert two_means(np.array([0.0, 1.0, 2.0]) * scale) == (0.0, 1.5 * scale)
+
+
+def test_two_means_below_one_commutes_with_power_of_two_scaling():
+    rng = np.random.default_rng(12)
+    for case in range(200):
+        n = int(rng.integers(2, 40))
+        scale = 10.0 ** rng.uniform(-12, -1)
+        if case % 2:
+            v = rng.integers(0, 4, n) * scale
+        else:
+            v = np.round(rng.normal(0.0, 1.0, n), 1) * scale
+        if np.unique(v).size < 2:
+            continue
+        lo, hi = two_means(v)
+        for j in (1, 7, 30, 60, 200):
+            assert two_means(v * 2.0**-j) == (lo * 2.0**-j, hi * 2.0**-j)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,19 @@ def test_ensure_pd_symmetrizes_roundoff_asymmetry():
     assert eps == 0.0
 
 
+@pytest.mark.parametrize("family", ["rbf", "linear"])
+def test_ensure_pd_returns_the_matrix_it_factored(family):
+    # A linear Gram of 3-D rows has rank 3 and needs jitter; an RBF Gram
+    # does not. Either way the bytes are those of (k + k.T) / 2 plus the
+    # jitter times the identity.
+    kernel = KernelSpec(family=family, sigma=1.0) if family == "rbf" else KernelSpec(family=family)
+    k = gram(kernel, _features(2, n=20))
+    out, eps = ensure_pd(k)
+    assert (eps > 0.0) == (family == "linear")
+    ksym = (k + k.T) / 2.0
+    assert out.tobytes() == (ksym + eps * np.eye(20) if eps else ksym).tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_ensure_pd_rejects_non_finite_entries(bad):
     # numpy's cholesky accepts inf/NaN without raising, so without the check
