@@ -1,4 +1,8 @@
 """Kernel evaluation, Gram assembly, and positive-definiteness repair."""
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -247,6 +251,51 @@ def test_gram_below_8_features_equals_a_row_by_row_sum(d):
         lin[i] = (y * x[i]).sum(axis=1)
     assert gram(KernelSpec(family="rbf", sigma=sigma), x, y).tobytes() == want.tobytes()
     assert gram(KernelSpec(family="linear"), x, y).tobytes() == lin.tobytes()
+
+
+def _rbf_reference(x, y, sigma):
+    # 0.0 plus the squared differences summed in feature order, then the
+    # divide and the exp: the rbf Gram entry bit for bit, independent of
+    # how gram computes it
+    acc = np.zeros((x.shape[0], y.shape[0]))
+    for f in range(x.shape[1]):
+        diff = y[:, f][None, :] - x[:, f][:, None]
+        acc = acc + diff * diff
+    return np.exp(acc / (-2.0 * sigma * sigma))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 17, 60, 61])
+def test_rbf_gram_is_the_feature_order_sum_bitwise(d, scale):
+    rng = np.random.default_rng(d)
+    x = scale * rng.standard_normal((13, d))
+    y = scale * rng.standard_normal((40, d))
+    spec = KernelSpec(family="rbf", sigma=scale * np.sqrt(d))
+    assert gram(spec, x).tobytes() == _rbf_reference(x, x, spec.sigma).tobytes()
+    assert gram(spec, x, y).tobytes() == _rbf_reference(x, y, spec.sigma).tobytes()
+    assert gram(spec, x, y).tobytes() == gram(spec, y, x).T.copy().tobytes()
+
+
+def test_rbf_gram_of_far_apart_rows_is_zero_without_a_warning():
+    # The squared distance overflows to inf, which the kernel maps to 0.
+    spec = KernelSpec(family="rbf", sigma=0.5)
+    far = np.array([[1e200, 0.0], [-1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gram(spec, far[:1], far[1:]).tolist() == [[0.0]]
+        assert gram(spec, far).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert kernel_eval(spec, far[0], far[1]) == 0.0
+
+
+def test_a_fit_does_not_import_scipy_spatial():
+    # Only an rbf cross-Gram needs it, and it costs about 9 MB of resident
+    # memory and 0.14 s to import.
+    code = ("import sys, numpy, ocds\n"
+            "x = numpy.random.default_rng(0).standard_normal((30, 2))\n"
+            "ocds.kods_train(x, ocds.KernelSpec('rbf', sigma=1.0), ocds.KodsHyper(k=1),\n"
+            "                ocds.SolverConfig(max_iters=5))\n"
+            "assert 'scipy.spatial' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 # ---------------------------------------------------------------------------

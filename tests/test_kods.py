@@ -317,14 +317,59 @@ def _random_model(n_support, k=1, seed=0):
 
 
 def test_batch_scores_are_the_scores_of_each_chunk():
-    chunk = ocds.kods._SCORE_CHUNK
     model = _random_model(40, k=2)
+    chunk = ocds.kods._SCORE_CHUNK // 40  # query rows per chunk
     x = np.random.default_rng(1).uniform(-1.0, 1.0, (2 * chunk + 5, 2))
     s1, s2 = kods_scores_batch(model, x)
     for i in range(0, x.shape[0], chunk):
         c1, c2 = kods_scores_batch(model, x[i:i + chunk])
         assert s1[i:i + chunk].tobytes() == c1.tobytes()
         assert s2[i:i + chunk].tobytes() == c2.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_batch_scores_match_the_support_major_formula(k):
+    # The per-support-row sums may be added in another order than
+    # z^2 @ K(support, x) takes, so they agree to a few ulp, not bitwise.
+    # Unit-scale duals and a wide kernel keep the sums as large as the
+    # intercepts, so their rounding shows in the scores.
+    rng = np.random.default_rng(k)
+    model = replace(_random_model(600, k=k, seed=k), kernel=KernelSpec(family="rbf", sigma=0.3),
+                    duals=DualVars(y=rng.standard_normal((k, 600)) / 20.0,
+                                   z=rng.standard_normal((k, 600)) / 20.0))
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, (3000, 2))
+    kxt = gram(model.kernel, model.support, x)
+    z2, y2 = model.duals.z ** 2, model.duals.y ** 2
+    w1 = (z2 @ kxt + model.b1[:, None]).min(axis=0)
+    w2 = (-(y2 @ kxt) + model.b2[:, None]).max(axis=0)
+    s1, s2 = kods_scores_batch(model, x)
+    eps = np.finfo(np.float64).eps
+    for got, want in ((s1, w1), (s2, w2)):
+        assert np.all(np.abs(got - want) <= 4.0 * eps * (1.0 + np.abs(want)))
+
+
+def test_an_empty_batch_scores_to_two_empty_arrays():
+    model = _random_model(20, k=2)
+    s1, s2 = kods_scores_batch(model, np.empty((0, 2)))
+    assert s1.shape == (0,) and s2.shape == (0,)
+
+
+def test_a_model_without_support_rows_scores_its_intercepts():
+    model = replace(_random_model(1, k=2), support=np.empty((0, 2)),
+                    duals=DualVars(y=np.empty((2, 0)), z=np.empty((2, 0))))
+    s1, s2 = kods_scores_batch(model, np.ones((3, 2)))
+    assert s1.tolist() == [model.b1.min()] * 3
+    assert s2.tolist() == [model.b2.max()] * 3
+
+
+def test_normalized_scoring_warns_about_zero_rows_at_the_callers_line():
+    model = replace(_random_model(20, k=2), normalization=True)
+    x = np.ones((4, 2))
+    x[2] = 0.0
+    with pytest.warns(UserWarning, match=r"l2_normalize: 1 zero row\(s\) left unscaled") as rec:
+        kods_scores_batch(model, x)
+    assert len(rec) == 1
+    assert rec[0].filename == __file__
 
 
 def test_batch_scoring_never_holds_the_whole_cross_gram():
