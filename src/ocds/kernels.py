@@ -16,6 +16,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConditioningError, DimensionError, DomainError
 
@@ -143,8 +144,12 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float(_rows(spec, x[None, :], y[:, None], np.empty((1, 1)))[0, 0])
 
 
-def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Gram matrix K[i, j] = k(x_i, y_j); y defaults to x."""
+def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Gram matrix K[i, j] = k(x_i, y_j); y defaults to x. Given out, a
+    C-ordered float64 array of the Gram's shape, the Gram is written into
+    it and out is returned, so a caller that builds Grams over and over
+    can reuse one buffer."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"gram expects a 2-D feature matrix, got shape {x.shape}")
@@ -159,7 +164,13 @@ def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None) -> np.nda
     if y is not x:
         _check_domain(spec, y, "y")
     n, m = x.shape[0], y.shape[0]
-    out = np.empty((n, m), dtype=np.float64)
+    if out is None:
+        out = np.empty((n, m), dtype=np.float64)
+    elif out.shape != (n, m) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise DimensionError(
+            f"gram out must be a C-ordered float64 array of shape {(n, m)}, "
+            f"got {out.dtype} {out.shape}"
+        )
     # Scoring builds rbf cross-Grams over and over, and cdist fills them in
     # about two thirds of the time. A fit builds one square Gram, where it
     # would save ~2 ms (n = 600) against the 0.14 s import of scipy.spatial,
@@ -174,15 +185,20 @@ def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _check_symmetric(k: np.ndarray, what: str) -> None:
+def _check_symmetric(k: np.ndarray, what: str) -> bool:
     """Raise ConditioningError if the square matrix k has a non-finite
-    entry (numpy's cholesky does not reject inf/NaN, so no jitter is tried)
-    and DomainError if it is not symmetric to 1e-10 of its largest entry."""
+    entry (a Cholesky factorization does not reject inf/NaN, so no jitter
+    is tried) and DomainError if it is not symmetric to 1e-10 of its
+    largest entry. Returns whether k is exactly symmetric; only a matrix
+    that is not pays for the tolerance test's n x n temporaries."""
     if not np.isfinite(k).all():
         raise ConditioningError(f"{what} has non-finite entries")
+    if np.array_equal(k, k.T):
+        return True
     scale = max(1.0, float(np.abs(k).max(initial=0.0)))
     if float(np.abs(k - k.T).max(initial=0.0)) > 1e-10 * scale:
         raise DomainError(f"{what} is not symmetric")
+    return False
 
 
 def ensure_pd(k: np.ndarray):
@@ -190,28 +206,37 @@ def ensure_pd(k: np.ndarray):
     from {0, j, 10*j, ...} that admits a Cholesky factorization, where
     j = 1e-10 * trace(k) / n (1e-10 when the trace is not positive).
 
-    Escalation stops once eps would exceed 1e-2 * trace(k) / n; at that
-    point the matrix is declared irreparably ill-conditioned. A matrix with
-    a non-finite entry raises ConditioningError at once.
+    A matrix that is exactly symmetric and needs no jitter comes back
+    unchanged, as the same array; one within the symmetry tolerance is
+    replaced by (k + k.T) / 2 first. Escalation stops once eps would
+    exceed 1e-2 * trace(k) / n; at that point the matrix is declared
+    irreparably ill-conditioned. A matrix with a non-finite entry raises
+    ConditioningError at once.
     """
+    return _factor_pd(k)[:2]
+
+
+def _factor_pd(k: np.ndarray):
+    """ensure_pd's (k_pd, eps) plus the lower Cholesky factor of k_pd in
+    scipy's cho_factor form, so that a caller need not factor k_pd again."""
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] == 0:
         raise DimensionError(f"ensure_pd expects a non-empty square matrix, got shape {k.shape}")
     n = k.shape[0]
-    _check_symmetric(k, "ensure_pd: matrix")
-    ksym = (k + k.T) / 2.0  # bitwise no-op when k is already exactly symmetric
-
-    mean_diag = float(np.trace(ksym)) / n
-    jitter = 1e-10 * mean_diag
-    if jitter <= 0.0:
-        jitter = 1e-10
-    ceiling = 1e-2 * max(mean_diag, 0.0)
+    ksym = k if _check_symmetric(k, "ensure_pd: matrix") else (k + k.T) / 2.0
 
     eps, k_pd = 0.0, ksym
     while True:
         try:
-            np.linalg.cholesky(k_pd)
+            factor = scipy.linalg.cho_factor(k_pd, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
+            if eps == 0.0:
+                # The ladder is needed only once the first factorization fails.
+                mean_diag = float(np.trace(ksym)) / n
+                jitter = 1e-10 * mean_diag
+                if jitter <= 0.0:
+                    jitter = 1e-10
+                ceiling = 1e-2 * max(mean_diag, 0.0)
             eps = jitter if eps == 0.0 else eps * 10.0
             if eps > ceiling:
                 raise ConditioningError(
@@ -220,4 +245,4 @@ def ensure_pd(k: np.ndarray):
                 ) from None
             k_pd = ksym + eps * np.eye(n)
         else:
-            return k_pd, eps
+            return k_pd, eps, factor

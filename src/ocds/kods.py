@@ -19,8 +19,11 @@ the jittered Gram: Y and Z are stacked into one 2K x n block, so each retraction
 projection and gradient conversion reads the Gram (or its Cholesky factor)
 once for both matrices, and transports at an accepted iterate reuse the
 U @ G the retraction already formed (see GeneralizedStiefel). The
-objective closures keep no such memo: fd_gradient_check mutates its work
-point in place between calls.
+objective closures keep a memo of the same kind: the [Z^2; Y^2] @ G block
+of the last point costed, with a copy of that point, looked up by value.
+The gradient at an accepted iterate, the last trial costed, then does no
+n x n work, while fd_gradient_check's in-place edits of its work point
+miss the memo, as they must.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ import numpy as np
 from .data import (_check_hyper, _check_model, _query_rows, _score_one,
                    _training_rows, l2_normalize)
 from .errors import DataError, DimensionError, DomainError
-from .kernels import KernelSpec, ensure_pd, gram
+from .kernels import KernelSpec, _factor_pd, gram
 from .manifolds import GeneralizedStiefel, _GeneralizedStiefelPair, _gram_residual
 from .solver import Objective, SolveReport, SolverConfig, minimize
 
@@ -123,14 +126,7 @@ def kods_objective(duals: DualVars, gram_mat: np.ndarray, hyper: KodsHyper) -> f
     y, z, g = _check_duals(duals, gram_mat)
     y2 = y * y
     z2 = z * z
-    row_y = y2.sum(axis=1)
-    row_z = z2.sum(axis=1)
-    self_term = 0.5 * float(row_y @ row_y)
-    cross_term = float(np.sum(y2 * (z2 @ g)))
-    margin_term = -hyper.eta * (float(y2.sum()) + float(z2.sum()))
-    diff = row_y - row_z
-    balance_term = 0.5 * hyper.lam * float(diff @ diff)
-    return self_term + cross_term + margin_term + balance_term
+    return _objective(y2, z2, z2 @ g, hyper)
 
 
 def kods_egrad(duals: DualVars, gram_mat: np.ndarray, hyper: KodsHyper) -> DualVars:
@@ -138,15 +134,34 @@ def kods_egrad(duals: DualVars, gram_mat: np.ndarray, hyper: KodsHyper) -> DualV
     y, z, g = _check_duals(duals, gram_mat)
     y2 = y * y
     z2 = z * z
+    # One pass over the Gram for both weight sets.
+    dy, dz = _egrad(y, z, y2, z2, np.vstack((z2, y2)) @ g, hyper)
+    return DualVars(y=dy, z=dz)
+
+
+def _objective(y2, z2, z2g, hyper: KodsHyper) -> float:
+    """kods_objective from the squared duals and Z^2 @ G."""
+    row_y = y2.sum(axis=1)
+    row_z = z2.sum(axis=1)
+    self_term = 0.5 * float(row_y @ row_y)
+    cross_term = float(np.sum(y2 * z2g))
+    margin_term = -hyper.eta * (float(y2.sum()) + float(z2.sum()))
+    diff = row_y - row_z
+    balance_term = 0.5 * hyper.lam * float(diff @ diff)
+    return self_term + cross_term + margin_term + balance_term
+
+
+def _egrad(y, z, y2, z2, block, hyper: KodsHyper):
+    """kods_egrad's (dY, dZ) from the duals, their squares and the stacked
+    [Z^2; Y^2] @ G block."""
     row_y = y2.sum(axis=1)[:, None]
     row_z = z2.sum(axis=1)[:, None]
     lam = hyper.lam
-    # One pass over the Gram for both weight sets.
-    z2g, y2g = np.split(np.vstack((z2, y2)) @ g, 2)
+    z2g, y2g = np.split(block, 2)
     dy = y * (2.0 * row_y + 2.0 * z2g - 2.0 * hyper.eta
               + 2.0 * lam * (row_y - row_z))
     dz = z * (2.0 * y2g - 2.0 * hyper.eta - 2.0 * lam * (row_y - row_z))
-    return DualVars(y=dy, z=dz)
+    return dy, dz
 
 
 def recover_primal(duals: DualVars, gram_mat: np.ndarray, eta: float):
@@ -160,20 +175,32 @@ def recover_primal(duals: DualVars, gram_mat: np.ndarray, eta: float):
     return b1, b2
 
 
-def build_kods_problem(gram_pd: np.ndarray, hyper: KodsHyper):
+def build_kods_problem(gram_pd: np.ndarray, hyper: KodsHyper, *, _factor=None):
     """Manifold over (Y, Z) plus objective closures bound to a positive
     definite Gram matrix. The manifold is a _GeneralizedStiefelPair: a
     Product whose two factors are the same GeneralizedStiefel, so
-    factors[0].polar maps a K x n matrix onto either factor."""
+    factors[0].polar maps a K x n matrix onto either factor. _factor, the
+    Cholesky factor kernels._factor_pd returned with gram_pd, spares the
+    manifold its own check and factorization."""
     n = gram_pd.shape[0]
-    manifold = _GeneralizedStiefelPair(GeneralizedStiefel(n, hyper.k, gram_pd))
+    manifold = _GeneralizedStiefelPair(GeneralizedStiefel(n, hyper.k, gram_pd, _factor=_factor))
+    memo = None  # (Y, Z, [Z^2; Y^2] @ G) at the last point seen
+
+    def squares_and_block(pt):
+        nonlocal memo
+        y, z = pt[0], pt[1]
+        y2 = y * y
+        z2 = z * z
+        if memo is None or not (np.array_equal(memo[0], y) and np.array_equal(memo[1], z)):
+            memo = (y.copy(), z.copy(), np.vstack((z2, y2)) @ gram_pd)
+        return y, z, y2, z2, memo[2]
 
     def cost(pt) -> float:
-        return kods_objective(DualVars(y=pt[0], z=pt[1]), gram_pd, hyper)
+        _, _, y2, z2, block = squares_and_block(pt)
+        return _objective(y2, z2, block[:hyper.k], hyper)
 
     def egrad(pt):
-        g = kods_egrad(DualVars(y=pt[0], z=pt[1]), gram_pd, hyper)
-        return (g.y, g.z)
+        return _egrad(*squares_and_block(pt), hyper)
 
     return manifold, Objective(cost=cost, egrad=egrad)
 
@@ -202,8 +229,8 @@ def kods_train(
         )
 
     raw = gram(kernel, xn)
-    gram_pd, eps = ensure_pd(raw)
-    manifold, objective = build_kods_problem(gram_pd, hyper)
+    gram_pd, eps, cho = _factor_pd(raw)
+    manifold, objective = build_kods_problem(gram_pd, hyper, _factor=cho)
     factor: GeneralizedStiefel = manifold.factors[0]
 
     # Uniform start: the flat matrix is rank one, so the polar map cannot
@@ -246,10 +273,12 @@ def kods_scores_batch(model: KodsModel, x: np.ndarray):
     n_support) rows: each chunk's chunk x n_support cross-Gram meets the
     squared duals [Z^2; Y^2]^T in one product, so the m x n_support Gram
     is never held whole, and the extremes are taken over the (2k, m)
-    response block. A row's scores depend on the rows sharing its chunk
-    (the product may round differently for another chunk height), so they
-    are reproduced bit for bit by scoring any chunk-aligned slice. A row
-    with a non-finite entry raises DataError.
+    response block. Every chunk's cross-Gram is written into one buffer
+    allocated per call, so scoring speed does not depend on which large
+    blocks the process has freed before. A row's scores depend on the rows
+    sharing its chunk (the product may round differently for another chunk
+    height), so they are reproduced bit for bit by scoring any
+    chunk-aligned slice. A row with a non-finite entry raises DataError.
     """
     x, norms = _query_rows(x, model.support.shape[1], model.normalization)
     if norms is not None:
@@ -257,11 +286,14 @@ def kods_scores_batch(model: KodsModel, x: np.ndarray):
     k = model.duals.z.shape[0]
     duals = np.vstack([model.duals.z, model.duals.y])
     w = (duals * duals).T  # (n_support, 2k): columns z_i^2, then y_i^2
-    resp = np.empty((2 * k, x.shape[0]))
-    step = max(1, _SCORE_CHUNK // max(model.support.shape[0], 1))
-    for i in range(0, x.shape[0], step):
-        rows = slice(i, i + step)
-        resp[:, rows] = (gram(model.kernel, x[rows], model.support) @ w).T
+    m, n_support = x.shape[0], model.support.shape[0]
+    resp = np.empty((2 * k, m))
+    step = max(1, _SCORE_CHUNK // max(n_support, 1))
+    buf = np.empty((min(step, m), n_support))  # every chunk's cross-Gram
+    for i in range(0, m, step):
+        h = min(step, m - i)
+        g = gram(model.kernel, x[i:i + h], model.support, out=buf[:h])
+        resp[:, i:i + h] = (g @ w).T
     s1 = (resp[:k] + model.b1[:, None]).min(axis=0)
     s2 = (-resp[k:] + model.b2[:, None]).max(axis=0)
     return s1, s2

@@ -372,13 +372,14 @@ class GeneralizedStiefel(Manifold):
     """K x n matrices U with U @ gram @ U.T = I_K for a symmetric positive
     definite gram matrix.
 
-    The gram matrix is Cholesky-factored once at construction; its inverse
-    is applied through triangular solves. A gram that is not finite and
-    symmetric fails as it does in ensure_pd; PositiveDefiniteError means
-    only that the factorization failed. Retraction normalizes U + t by
-    the inverse square root of the gram-weighted second moment (the
-    generalized polar map), which keeps feasibility at machine precision
-    regardless of the input's drift.
+    The gram matrix is Cholesky-factored once at construction (KODS
+    training hands in the factor it made while repairing the gram); its
+    inverse is applied through triangular solves. A gram that is not
+    finite and symmetric fails as it does in ensure_pd;
+    PositiveDefiniteError means only that the factorization failed.
+    Retraction normalizes U + t by the inverse square root of the
+    gram-weighted second moment (the generalized polar map), which keeps
+    feasibility at machine precision regardless of the input's drift.
 
     The formulas act on a stack of frames, an (m, K, n) array, so that one
     product with the gram (or one solve against its factor) serves every
@@ -394,7 +395,9 @@ class GeneralizedStiefel(Manifold):
     point in place gets a fresh product, not a stale one.
     """
 
-    def __init__(self, n: int, k: int, gram: np.ndarray):
+    def __init__(self, n: int, k: int, gram: np.ndarray, *, _factor=None):
+        # _factor: the cho_factor of this very gram, from kernels._factor_pd,
+        # which has checked and factored it already.
         if k < 1 or n < k:
             raise DimensionError(
                 f"GeneralizedStiefel needs 1 <= K <= n, got n={n}, K={k}"
@@ -405,12 +408,14 @@ class GeneralizedStiefel(Manifold):
             raise DimensionError(
                 f"gram matrix must be {self.n}x{self.n}, got {gram.shape}"
             )
-        _check_symmetric(gram, "gram matrix")
         self.gram = gram
-        try:
-            self._cho = scipy.linalg.cho_factor(gram, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise PositiveDefiniteError("gram matrix is not positive definite") from exc
+        if _factor is None:
+            _check_symmetric(gram, "gram matrix")
+            try:
+                _factor = scipy.linalg.cho_factor(gram, lower=True)
+            except np.linalg.LinAlgError as exc:
+                raise PositiveDefiniteError("gram matrix is not positive definite") from exc
+        self._cho = _factor
         self._memo = None  # (stack of points, the same stack @ gram)
         self.name = f"GeneralizedStiefel({n},{k})"
 
@@ -462,8 +467,8 @@ class GeneralizedStiefel(Manifold):
 
     def _rgrad_stack(self, points: np.ndarray, egrad: np.ndarray) -> np.ndarray:
         # G^{-1} g - (U g^T) U: one solve with m*K right-hand sides, and the
-        # K x K product avoids an n x n one. cho_factor checked the n x n
-        # factor once at construction; only the gradient is checked here.
+        # K x K product avoids an n x n one. The gram was checked to be
+        # finite before it was factored; only the gradient is checked here.
         rows = np.asarray_chkfinite(egrad.reshape(-1, self.n))
         solved = scipy.linalg.cho_solve(self._cho, rows.T, check_finite=False).T
         return solved.reshape(egrad.shape) - (points @ np.swapaxes(egrad, -1, -2)) @ points

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ocds.kernels
 from ocds.errors import ConditioningError, DimensionError, DomainError
@@ -236,6 +237,27 @@ def test_gram_values_do_not_depend_on_the_block_size(family, d, monkeypatch):
         assert gram(spec, x, y).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("square", [False, True])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gram_fills_the_buffer_it_is_given(family, square):
+    spec = KernelSpec(family=family, sigma=0.8)
+    x = _features(3, n=7, nonneg=_needs_nonneg(family))
+    y = None if square else _features(4, n=5, nonneg=_needs_nonneg(family))
+    want = gram(spec, x, y)
+    buf = np.full((9, want.shape[1]), np.nan)
+    got = gram(spec, x, y, out=buf[:7])
+    assert np.shares_memory(got, buf)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(buf[7:]).all()
+
+
+def test_gram_rejects_a_buffer_it_cannot_fill():
+    x, y = _features(3, n=7), _features(4, n=5)
+    for bad in (np.empty((7, 4)), np.empty((7, 5), dtype=np.float32), np.empty((5, 7)).T):
+        with pytest.raises(DimensionError, match="out"):
+            gram(KernelSpec(), x, y, out=bad)
+
+
 @pytest.mark.parametrize("d", range(1, 8))
 def test_gram_below_8_features_equals_a_row_by_row_sum(d):
     # below 8 terms numpy's sum(axis=1) adds in index order, as the
@@ -370,6 +392,31 @@ def test_ensure_pd_returns_the_matrix_it_factored(family):
     assert (eps > 0.0) == (family == "linear")
     ksym = (k + k.T) / 2.0
     assert out.tobytes() == (ksym + eps * np.eye(20) if eps else ksym).tobytes()
+
+
+def test_ensure_pd_hands_an_exactly_symmetric_definite_matrix_back_as_is():
+    g = gram(KernelSpec(family="rbf", sigma=1.0), _features(1, n=6))
+    assert ensure_pd(g)[0] is g
+
+
+def test_ensure_pd_returns_a_finite_matrix_finite():
+    # (k + k.T) / 2 once overflowed here, to inf on the diagonal with eps 0
+    k = np.array([[1e308, 1e307], [1e307, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, eps = ensure_pd(k)
+    assert eps == 0.0
+    assert out.tobytes() == k.tobytes()
+
+
+def test_ensure_pd_factor_is_the_one_cho_factor_makes():
+    # KODS training hands this factor to the manifold in place of its own
+    k = gram(KernelSpec(family="linear"), _features(2, n=20))
+    out, eps, (c, lower) = ocds.kernels._factor_pd(k)
+    want_pd, want_eps = ensure_pd(k)
+    assert eps == want_eps > 0.0 and out.tobytes() == want_pd.tobytes()
+    want, _ = scipy.linalg.cho_factor(out, lower=True)
+    assert lower and c.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -115,6 +115,42 @@ def test_egrad_matches_finite_differences():
         assert fd_gradient_check(objective, point) <= 1e-5
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_problem_closures_agree_with_the_reference_functions(k):
+    # The closures share one [Z^2; Y^2] @ G block between the cost and the
+    # gradient at a point. The gradient is kods_egrad's, bit for bit, with
+    # or without the block in the memo; the cost reads Z^2 @ G off that
+    # 2k-row product, which may round apart from the k-row one.
+    g = _rbf_gram(n=9, seed=6)
+    hyper = KodsHyper(k=k)
+    manifold, objective = build_kods_problem(g, hyper)
+    point = manifold.random_point(3)
+    duals = DualVars(y=point[0], z=point[1])
+    want = kods_egrad(duals, g, hyper)
+    cold = objective.egrad(point)
+    f = kods_objective(duals, g, hyper)
+    assert abs(objective.cost(point) - f) <= 4.0 * np.finfo(float).eps * max(1.0, abs(f))
+    warm = objective.egrad(point)
+    for got in (cold, warm):
+        assert got[0].tobytes() == want.y.tobytes()
+        assert got[1].tobytes() == want.z.tobytes()
+
+
+def test_problem_closures_see_a_point_edited_in_place():
+    # the memo is looked up by value, so fd_gradient_check's in-place edits
+    # of its work point are never served a stale block
+    g = _rbf_gram(n=7, seed=2)
+    hyper = KodsHyper(k=2)
+    manifold, objective = build_kods_problem(g, hyper)
+    point = manifold.random_point(8)
+    objective.cost(point)
+    point[1][0, 3] += 0.25
+    duals = DualVars(y=point[0], z=point[1])
+    f = kods_objective(duals, g, hyper)
+    assert abs(objective.cost(point) - f) <= 4.0 * np.finfo(float).eps * max(1.0, abs(f))
+    assert objective.egrad(point)[0].tobytes() == kods_egrad(duals, g, hyper).y.tobytes()
+
+
 def test_egrad_agrees_with_an_independent_elementwise_loop():
     # identity Gram, no balance penalty: the gradient reduces to a form
     # simple enough to recompute entry by entry in plain Python

@@ -605,6 +605,26 @@ def test_scores_apply_column_scales():
     assert s2 == 3.0
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_gods_n_scores_at_the_float_floor_are_the_intercepts(normalize):
+    # Training leaves every gods_n model's scales at the smallest normal
+    # float. Each response is then far below half an ulp of an intercept of
+    # size >= 1e-3, so the scores are exactly (min b1, max b2); however
+    # gods_n comes to apply its scales, it must keep this.
+    tiny = np.finfo(np.float64).tiny
+    rng = np.random.default_rng(0)
+    d, k = 5, 3
+    w1 = np.linalg.qr(rng.standard_normal((d, k)))[0]
+    w2 = np.linalg.qr(rng.standard_normal((d, k)))[0]
+    b1, b2 = np.array([0.4, -0.2, 1e-3]), np.array([-0.3, 0.5, -1e-3])
+    model = _model("gods_n", w1, b1, w2, b2, r1=np.full(k, tiny), r2=np.full(k, tiny),
+                   normalize=normalize)
+    x = rng.uniform(-10.0, 10.0, (50, d))
+    s1, s2 = primal_scores_batch(model, x)
+    assert np.all(s1 == b1.min()) and np.all(s2 == b2.max())
+    assert primal_scores(model, x[0]) == (b1.min(), b2.max())
+
+
 def test_scores_normalize_when_the_model_was_trained_normalized():
     model = _model("gods", [[1.0], [0.0]], [0.1], [[0.0], [1.0]], [-0.1], normalize=True)
     a = primal_scores(model, np.array([2.0, 0.0]))
