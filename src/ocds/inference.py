@@ -66,6 +66,14 @@ def classify(s1, s2, eta: float):
     return np.logical_and(s1 >= eta, s2 <= -eta)
 
 
+def _extremes(p: np.ndarray, k: int):
+    """(s1, s2) of a (2K, m) response block, lower-classifier responses in
+    rows :K and upper-classifier responses in rows K:: per column, the
+    smallest of rows :K and the largest of rows K:. Both model families
+    score through it."""
+    return p[:k].min(axis=0), p[k:].max(axis=0)
+
+
 def anomaly_score(s1, s2, eta: float):
     """Worst margin violation, elementwise; <= 0 exactly for in-class
     points. s1 and s2 are scalars or matching arrays."""

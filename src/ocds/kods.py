@@ -8,18 +8,28 @@ the kernel by the squared entries, so each recovered component is a
 nonnegative kernel mixture: rows of Z^2 build the lower classifier, rows
 of Y^2 (negated) build the upper one.
 
+Every response the module forms reads one set of signed weights,
+_weights = [Z^2; -Y^2] (2K x n), whose product with Gram rows is a
+(2K, m) response block laid out as the primal models' (lower responses
+in rows :K, upper in rows K:), reduced to (s1, s2) by
+inference._extremes. The objective and its gradient read _weights @ G;
+scoring and intercept recovery read the block through one chunked loop,
+_response_block.
+
 The Gram matrix enters twice, in different roles: a jittered copy defines
 the feasible set (it must be positive definite for the geometry to make
-sense), while the raw Gram is used to recover the intercepts so that
-stored intercepts are exactly consistent with inference-time kernel
-evaluations against the support set.
+sense), while the raw Gram is used to recover the intercepts. Recovery
+reads the raw Gram's rows in the scorer's chunks, so the training matrix
+scored as one batch, or any chunk-aligned slice of it, gets the very
+responses the intercepts were set from, and every training row meets
+both margins at eta exactly.
 
 Training runs on _GeneralizedStiefelPair over one GeneralizedStiefel of
 the jittered Gram: Y and Z are stacked into one 2K x n block, so each retraction,
 projection and gradient conversion reads the Gram (or its Cholesky factor)
 once for both matrices, and transports at an accepted iterate reuse the
 U @ G the retraction already formed (see GeneralizedStiefel). The
-objective closures keep a memo of the same kind: the [Z^2; Y^2] @ G block
+objective closures keep a memo of the same kind: the _weights @ G block
 of the last point costed, with a copy of that point, looked up by value.
 The gradient at an accepted iterate, the last trial costed, then does no
 n x n work, while fd_gradient_check's in-place edits of its work point
@@ -35,6 +45,7 @@ import numpy as np
 from .data import (_check_hyper, _check_model, _query_rows, _score_one,
                    _training_rows, l2_normalize)
 from .errors import DataError, DimensionError, DomainError
+from .inference import _extremes
 from .kernels import KernelSpec, _factor_pd, gram
 from .manifolds import GeneralizedStiefel, _GeneralizedStiefelPair, _gram_residual
 from .solver import Objective, SolveReport, SolverConfig, minimize
@@ -53,7 +64,7 @@ __all__ = [
     "kods_feasibility",
 ]
 
-# Cross-Gram entries per chunk in kods_scores_batch: 2**17 float64 values
+# Gram entries per chunk in _response_block: 2**17 float64 values
 # (1 MB), so a chunk's Gram stays in cache between the kernel pass and
 # the product that reads it; a 600-row support set scores 218 query rows
 # per chunk. On 600 x 20000 rbf scoring, 2**15 to 2**18 timed within 3%
@@ -123,24 +134,35 @@ def kods_objective(duals: DualVars, gram_mat: np.ndarray, hyper: KodsHyper) -> f
     """Dual objective: self-coherence of the lower weights, cross-coherence
     between the two weight sets through the Gram matrix, a margin reward on
     the total weight mass, and a balance penalty on the row masses."""
-    y, z, g = _check_duals(duals, gram_mat)
-    y2 = y * y
-    z2 = z * z
-    return _objective(y2, z2, z2 @ g, hyper)
+    return _objective(*_cost_terms(*_check_duals(duals, gram_mat))[2:], hyper)
 
 
 def kods_egrad(duals: DualVars, gram_mat: np.ndarray, hyper: KodsHyper) -> DualVars:
     """Exact ambient gradient of kods_objective in both dual matrices."""
-    y, z, g = _check_duals(duals, gram_mat)
-    y2 = y * y
-    z2 = z * z
-    # One pass over the Gram for both weight sets.
-    dy, dz = _egrad(y, z, y2, z2, np.vstack((z2, y2)) @ g, hyper)
+    dy, dz = _egrad(*_cost_terms(*_check_duals(duals, gram_mat)), hyper)
     return DualVars(y=dy, z=dz)
 
 
-def _objective(y2, z2, z2g, hyper: KodsHyper) -> float:
-    """kods_objective from the squared duals and Z^2 @ G."""
+def _weights(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The signed kernel weights [Z^2; -Y^2], (2K, n): their product with
+    a Gram's rows is a response block, the lower classifier's responses in
+    rows :K and the upper classifier's in rows K:."""
+    return np.vstack((z * z, -(y * y)))
+
+
+def _cost_terms(y, z, g):
+    """(Y, Z, Y^2, Z^2, _weights(Y, Z) @ G): what _objective and _egrad
+    read, so the public objective and the training closures share one
+    product with the Gram."""
+    w = _weights(y, z)
+    k = y.shape[0]
+    return y, z, -w[k:], w[:k], w @ g
+
+
+def _objective(y2, z2, block, hyper: KodsHyper) -> float:
+    """kods_objective from the squared duals and the [Z^2; -Y^2] @ G
+    block."""
+    z2g = block[:z2.shape[0]]
     row_y = y2.sum(axis=1)
     row_z = z2.sum(axis=1)
     self_term = 0.5 * float(row_y @ row_y)
@@ -152,26 +174,62 @@ def _objective(y2, z2, z2g, hyper: KodsHyper) -> float:
 
 
 def _egrad(y, z, y2, z2, block, hyper: KodsHyper):
-    """kods_egrad's (dY, dZ) from the duals, their squares and the stacked
-    [Z^2; Y^2] @ G block."""
+    """kods_egrad's (dY, dZ) from the duals, their squares and the
+    [Z^2; -Y^2] @ G block."""
     row_y = y2.sum(axis=1)[:, None]
     row_z = z2.sum(axis=1)[:, None]
     lam = hyper.lam
-    z2g, y2g = np.split(block, 2)
+    z2g, neg_y2g = np.split(block, 2)
     dy = y * (2.0 * row_y + 2.0 * z2g - 2.0 * hyper.eta
               + 2.0 * lam * (row_y - row_z))
-    dz = z * (2.0 * y2g - 2.0 * hyper.eta - 2.0 * lam * (row_y - row_z))
+    dz = z * (-2.0 * neg_y2g - 2.0 * hyper.eta - 2.0 * lam * (row_y - row_z))
     return dy, dz
+
+
+def _response_block(w: np.ndarray, m: int, gram_rows) -> np.ndarray:
+    """The (2K, m) response block of the signed weights w (2K, n) to m
+    rows: the one path by which both scoring and intercept recovery form
+    responses. The rows are read in chunks of max(1, _SCORE_CHUNK // n);
+    gram_rows(rows, out) returns the Gram of the rows `rows` (a slice)
+    against the n support rows, either written into out, a (chunk, n)
+    buffer reused for every chunk, or as a view of a Gram already built.
+    Each chunk's Gram meets w^T in one product, so the m x n Gram is never
+    formed here."""
+    n = w.shape[1]
+    step = max(1, _SCORE_CHUNK // max(n, 1))
+    resp = np.empty((w.shape[0], m))
+    buf = np.empty((min(step, m), n))
+    for i in range(0, m, step):
+        h = min(step, m - i)
+        resp[:, i:i + h] = (gram_rows(slice(i, i + h), buf[:h]) @ w.T).T
+    return resp
 
 
 def recover_primal(duals: DualVars, gram_mat: np.ndarray, eta: float):
     """Intercepts (b1, b2) that place every training point on the feasible
-    side of both margins, with at least one point exactly on each."""
+    side of both margins, with at least one point on each to within one
+    ulp of the larger of eta and the intercept.
+
+    gram_mat is the raw training Gram. Its rows go through the scorer's
+    _response_block, in the scorer's chunks, so the guarantee holds bit
+    for bit where the scorer forms the same responses: for the training
+    matrix scored as one batch, or any chunk-aligned slice of it. Another
+    slice may round a row's responses apart by a few ulp.
+
+    b1 is eta - min(lower) and b2 is -eta - max(upper), per component.
+    Either subtraction rounds, so the margin row's score min(lower) + b1
+    can land an ulp below eta (max(upper) + b2 above -eta); such an
+    intercept moves to the next float inward. The rounding error is at
+    most half the gap to that float, so the one move puts the margin row
+    inside."""
     y, z, g = _check_duals(duals, gram_mat)
-    lower = (z * z) @ g   # (K, n) responses of the lower classifier
-    upper = (y * y) @ g
-    b1 = (eta - lower).max(axis=1)
-    b2 = (-eta + upper).min(axis=1)
+    k = y.shape[0]
+    block = _response_block(_weights(y, z), g.shape[0], lambda rows, out: g[rows])
+    low, high = block[:k].min(axis=1), block[k:].max(axis=1)
+    b1 = eta - low
+    b2 = -eta - high
+    b1 = np.where(low + b1 < eta, np.nextafter(b1, np.inf), b1)
+    b2 = np.where(high + b2 > -eta, np.nextafter(b2, -np.inf), b2)
     return b1, b2
 
 
@@ -184,23 +242,20 @@ def build_kods_problem(gram_pd: np.ndarray, hyper: KodsHyper, *, _factor=None):
     manifold its own check and factorization."""
     n = gram_pd.shape[0]
     manifold = _GeneralizedStiefelPair(GeneralizedStiefel(n, hyper.k, gram_pd, _factor=_factor))
-    memo = None  # (Y, Z, [Z^2; Y^2] @ G) at the last point seen
+    memo = None  # _cost_terms at the last point seen, on copies of its Y and Z
 
-    def squares_and_block(pt):
+    def terms(pt):
         nonlocal memo
         y, z = pt[0], pt[1]
-        y2 = y * y
-        z2 = z * z
         if memo is None or not (np.array_equal(memo[0], y) and np.array_equal(memo[1], z)):
-            memo = (y.copy(), z.copy(), np.vstack((z2, y2)) @ gram_pd)
-        return y, z, y2, z2, memo[2]
+            memo = _cost_terms(y.copy(), z.copy(), gram_pd)
+        return memo
 
     def cost(pt) -> float:
-        _, _, y2, z2, block = squares_and_block(pt)
-        return _objective(y2, z2, block[:hyper.k], hyper)
+        return _objective(*terms(pt)[2:], hyper)
 
     def egrad(pt):
-        return _egrad(*squares_and_block(pt), hyper)
+        return _egrad(*terms(pt), hyper)
 
     return manifold, Objective(cost=cost, egrad=egrad)
 
@@ -269,34 +324,24 @@ def kods_scores_batch(model: KodsModel, x: np.ndarray):
     """Vectorized (s1, s2) arrays over the rows of x, via kernel
     evaluations against the support set.
 
-    Rows are scored query-major, in chunks of max(1, _SCORE_CHUNK //
-    n_support) rows: each chunk's chunk x n_support cross-Gram meets the
-    squared duals [Z^2; Y^2]^T in one product, so the m x n_support Gram
-    is never held whole, and the extremes are taken over the (2k, m)
-    response block. Every chunk's cross-Gram is written into one buffer
-    allocated per call, so scoring speed does not depend on which large
-    blocks the process has freed before. A row's scores depend on the rows
-    sharing its chunk (the product may round differently for another chunk
-    height), so they are reproduced bit for bit by scoring any
-    chunk-aligned slice. A row with a non-finite entry raises DataError.
+    Rows are scored query-major by _response_block, in chunks of
+    max(1, _SCORE_CHUNK // n_support) rows, and the extremes are taken
+    over the (2k, m) response block plus the intercepts. Every chunk's
+    cross-Gram is written into one buffer allocated per call, so scoring
+    speed does not depend on which large blocks the process has freed
+    before. A row's scores depend on the rows sharing its chunk (the
+    product may round differently for another chunk height), so they are
+    reproduced bit for bit by scoring any chunk-aligned slice. A row with
+    a non-finite entry raises DataError.
     """
     x, norms = _query_rows(x, model.support.shape[1], model.normalization)
     if norms is not None:
         x = x / norms[:, None]
-    k = model.duals.z.shape[0]
-    duals = np.vstack([model.duals.z, model.duals.y])
-    w = (duals * duals).T  # (n_support, 2k): columns z_i^2, then y_i^2
-    m, n_support = x.shape[0], model.support.shape[0]
-    resp = np.empty((2 * k, m))
-    step = max(1, _SCORE_CHUNK // max(n_support, 1))
-    buf = np.empty((min(step, m), n_support))  # every chunk's cross-Gram
-    for i in range(0, m, step):
-        h = min(step, m - i)
-        g = gram(model.kernel, x[i:i + h], model.support, out=buf[:h])
-        resp[:, i:i + h] = (g @ w).T
-    s1 = (resp[:k] + model.b1[:, None]).min(axis=0)
-    s2 = (-resp[k:] + model.b2[:, None]).max(axis=0)
-    return s1, s2
+    resp = _response_block(
+        _weights(model.duals.y, model.duals.z), x.shape[0],
+        lambda rows, out: gram(model.kernel, x[rows], model.support, out=out))
+    resp += np.concatenate((model.b1, model.b2))[:, None]
+    return _extremes(resp, model.duals.z.shape[0])
 
 
 def kods_feasibility(model: KodsModel) -> float:

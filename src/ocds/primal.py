@@ -49,6 +49,7 @@ import numpy as np
 from .data import (_check_hyper, _check_model, _query_rows, _score_one,
                    _training_rows, l2_normalize)
 from .errors import DataError, DimensionError, DomainError, NumericError
+from .inference import _extremes
 from .manifolds import (
     Euclidean,
     Manifold,
@@ -160,12 +161,6 @@ def _responses(frames: FramePair, x: np.ndarray, norms=None) -> np.ndarray:
     return p
 
 
-def _extremes(p: np.ndarray, k: int):
-    """Per row of x, the smallest lower-frame response and the largest
-    upper-frame response of a _responses block."""
-    return p[:k].min(axis=0), p[k:].max(axis=0)
-
-
 def _first_row_equal(block: np.ndarray, value: np.ndarray) -> np.ndarray:
     """Per column, the lowest row index at which block equals value: the
     argmin (argmax) of a column whose min (max) is value. argmin along
@@ -186,6 +181,17 @@ def _check_training_inputs(frames: FramePair, x: np.ndarray, hyper: GodsHyper):
     if k != hyper.k:
         raise DimensionError(f"frames have K={k} but hyper.k={hyper.k}")
     return x
+
+
+def _hinges(frames: FramePair, x: np.ndarray, hyper: GodsHyper):
+    """What gods_objective and gods_egrad both start from: the checked
+    rows x, their _responses block p, its extremes (low, high) and the
+    hinges max(eta - low, 0) and max(eta + high, 0)."""
+    x = _check_training_inputs(frames, x, hyper)
+    p = _responses(frames, x)
+    low, high = _extremes(p, hyper.k)
+    return (x, p, low, high,
+            np.maximum(hyper.eta - low, 0.0), np.maximum(hyper.eta + high, 0.0))
 
 
 def _pnorm(r: np.ndarray, p: float) -> float:
@@ -218,17 +224,13 @@ def gods_objective(frames: FramePair, x: np.ndarray, hyper: GodsHyper) -> float:
     bods, whose lead term couples its two hyperplanes: the bias term
     (b1-b2)^2 - 2(b1-b2) plus the alignment term -w1.w2.
     """
-    x = _check_training_inputs(frames, x, hyper)
+    x, p, _, _, h1, h2 = _hinges(frames, x, hyper)
     n = x.shape[0]
-    p = _responses(frames, x)
     if hyper.variant == "bods":
         gap = float(frames.b1[0] - frames.b2[0])
         value = 0.5 * (gap * gap - 2.0 * gap) - float(frames.w1[:, 0] @ frames.w2[:, 0])
     else:
         value = 0.5 / n * float(np.vdot(p, p))
-    low, high = _extremes(p, hyper.k)
-    h1 = np.maximum(hyper.eta - low, 0.0)
-    h2 = np.maximum(hyper.eta + high, 0.0)
     value += 0.5 * hyper.nu / n * (float(h1 @ h1) + float(h2 @ h2))
     if hyper.variant == "gods_n":
         value += 0.5 * hyper.lam * (
@@ -248,16 +250,12 @@ def gods_egrad(frames: FramePair, x: np.ndarray, hyper: GodsHyper) -> FramePair:
     factor (chain rule through W = Q diag(r)) and the r gradients land in
     the r1/r2 slots.
     """
-    x = _check_training_inputs(frames, x, hyper)
+    x, p, low, high, h1, h2 = _hinges(frames, x, hyper)
     n, k = x.shape[0], hyper.k
-    p = _responses(frames, x)
     # One residual block for both frames: the lead term's p/n (bods has
     # none), and each row's hinge on its extreme response, ties going to
     # the lowest index as in argmin/argmax.
     resid = np.zeros_like(p) if hyper.variant == "bods" else p / n
-    low, high = _extremes(p, k)
-    h1 = np.maximum(hyper.eta - low, 0.0)
-    h2 = np.maximum(hyper.eta + high, 0.0)
     # Scatter through flat indices into the C-ordered block: the same
     # elements as resid[rows, cols], about half the time of a fancy 2-D index.
     cols = np.arange(n)

@@ -213,21 +213,21 @@ def minimize(obj: Objective, manifold: Manifold, init, cfg: SolverConfig | None 
                 direction = tree_axpy(tree_scale(grad, -1.0), beta, carried_dir)
 
         start_step = min(1.0, 2.0 * steps[-1]) if steps else 1.0
-        hit = None
-        if direction is not None:
+        # The PR+ direction first, if there is one. If it is not a descent
+        # direction or its search fails, restart: -grad from the same point
+        # and start step.
+        for restart in ((False, True) if direction is not None else (True,)):
+            if restart:
+                direction = tree_scale(grad, -1.0)
             slope = tree_dot(egrad, direction)
+            hit = None
             if slope < 0.0:
                 hit = _line_search(obj, manifold, point, direction, f, slope, start_step, counts)
-            if hit is None:
-                direction = None  # not a descent direction, or its search failed
-        if direction is None:  # restart: -grad from the same point and start step
-            direction = tree_scale(grad, -1.0)
-            slope = tree_dot(egrad, direction)
-            if slope < 0.0:
-                hit = _line_search(obj, manifold, point, direction, f, slope, start_step, counts)
-            if hit is None:
-                stop_reason = "stall"  # report what we have
+            if hit is not None:
                 break
+        else:  # neither search found a step: report what we have
+            stop_reason = "stall"
+            break
 
         prev_point, prev_grad, prev_gnorm = point, grad, gnorm
         point, f, step = hit

@@ -305,6 +305,20 @@ def test_predict_stdout_matches_batch_scores(workdir, capsys):
     assert set(l.split(",")[3] for l in lines[1:]) <= {"in-class", "anomaly"}
 
 
+def test_predict_labels_every_kods_training_row_in_class(tmp_path, capsys):
+    # A fit whose intercepts, read off a product other than the scorer's,
+    # once left one training row an ulp outside a margin.
+    csv, model = tmp_path / "ring.csv", tmp_path / "kods.json"
+    assert main(["synth", "--kind", "ring", "--n", "300", "--seed", "6", "--out", str(csv)]) == 0
+    assert main(["train", "--data", str(csv), "--variant", "kods", "--kernel", "rbf",
+                 "--sigma", "0.2", "--k", "2", "--no-normalize", "--max-iters", "80",
+                 "--seed", "6", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--data", str(csv)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["in-class"] * 300
+
+
 def test_predict_out_file(workdir, tmp_path):
     out = tmp_path / "pred.csv"
     rc = main(["predict", "--model", str(workdir / "gods.json"),

@@ -8,7 +8,7 @@ import pytest
 
 from ocds.data import l2_normalize, synth
 from ocds.errors import DataError, DimensionError, DomainError, NumericError
-from ocds.inference import classify
+from ocds.inference import _extremes, classify
 from ocds.primal import (
     VARIANTS,
     FramePair,
@@ -25,7 +25,7 @@ from ocds.primal import (
     primal_scores_batch,
     train_primal,
 )
-from ocds.primal import _extremes, _responses
+from ocds.primal import _responses
 from ocds.solver import Objective, SolverConfig, fd_gradient_check, minimize
 
 
