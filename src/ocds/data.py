@@ -372,7 +372,8 @@ def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
 
     Kinds, with the parameters each takes (defaults in SYNTH_PARAMS):
       gaussian  -- d-dimensional normal; params d, mean, cov (scalar
-                   variance or a full covariance matrix)
+                   variance >= 0 or a symmetric positive definite
+                   covariance matrix), all checked before any draw
       arbitrary -- 1-D curve pairs (x, sqrt(x) * (x + s*u)) with
                    x ~ Uniform(0, 2], s a random sign, u ~ Uniform[0, 1);
                    draw order is x, then signs, then u
@@ -392,18 +393,10 @@ def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
     rng = np.random.default_rng(seed)
 
     if kind == "gaussian":
-        d = int(params["d"])
-        if d < 1:
-            raise DataError(f"gaussian synth needs d >= 1, got {d}")
-        mean = np.broadcast_to(np.asarray(params["mean"], dtype=np.float64), (d,))
-        cov_arr = np.asarray(params["cov"], dtype=np.float64)
+        d, mean, cov_arr = _gaussian_params(params["d"], params["mean"], params["cov"])
         if cov_arr.ndim == 0:
             x = mean + np.sqrt(float(cov_arr)) * rng.standard_normal((n, d))
         else:
-            if cov_arr.shape != (d, d):
-                raise DimensionError(
-                    f"covariance must be scalar or {d}x{d}, got shape {cov_arr.shape}"
-                )
             x = rng.multivariate_normal(mean, cov_arr, size=n, method="cholesky")
     elif kind == "arbitrary":
         # 2 - U[0, 2) lands in the half-open interval (0, 2].
@@ -431,6 +424,43 @@ def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
         x = np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z])
 
     return Dataset(features=x, labels=None, source=f"synth:{kind}:seed={seed}")
+
+
+def _gaussian_params(d, mean, cov):
+    """synth("gaussian")'s (d, mean, cov) checked before any draw: d a
+    whole number >= 1, mean a finite scalar or d-vector (returned as a
+    d-vector), cov a finite variance >= 0 or a symmetric positive definite
+    d x d matrix, the only kind its Cholesky draw reads in full."""
+    try:
+        whole = int(d) == d and d >= 1 and not isinstance(d, bool)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise DataError(f"gaussian synth needs a whole number d >= 1, got {d!r}")
+    d = int(d)
+    try:
+        mean, cov = np.asarray(mean, dtype=np.float64), np.asarray(cov, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DataError(f"gaussian synth needs numeric mean and cov, got {mean!r}, {cov!r}") from None
+    if mean.shape not in ((), (d,)):
+        raise DimensionError(f"mean must be scalar or of length {d}, got shape {mean.shape}")
+    if not np.isfinite(mean).all():
+        raise DataError("gaussian synth needs a finite mean")
+    if cov.ndim == 0:
+        if not (math.isfinite(cov) and cov >= 0.0):
+            raise DataError(f"gaussian synth needs a finite variance >= 0, got {float(cov)}")
+    else:
+        if cov.shape != (d, d):
+            raise DimensionError(f"covariance must be scalar or {d}x{d}, got shape {cov.shape}")
+        if not np.isfinite(cov).all():
+            raise DataError("covariance matrix has non-finite entries")
+        if not np.array_equal(cov, cov.T):
+            raise DataError("covariance matrix is not symmetric")
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise DataError("covariance matrix is not positive definite") from None
+    return d, np.broadcast_to(mean, (d,)), cov
 
 
 def _check_ring(r_in: float, r_out: float) -> None:

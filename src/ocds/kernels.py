@@ -2,11 +2,15 @@
 
 Gram matrices are filled in row blocks of about 2**15 entries (256 KB),
 so every pass runs over a cache-resident block. A block loops over the
-features of a feature-major copy of the other operand, except the block
-of an rbf cross-Gram: one scipy cdist pass over the other operand's
-C-ordered rows gives the same squared distances, bit for bit. Single
-evaluations run the feature loop on a 1 x 1 block, so gram(spec, X, Y)[i, j]
-and kernel_eval(spec, X[i], Y[j]) agree bit for bit.
+features of a feature-major copy of the other operand. An rbf cross-Gram
+is the exception: one scipy cdist pass over the other operand's C-ordered
+rows fills the whole Gram with the same squared distances, bit for bit
+(a caller that wants it in cache, as the KODS scorer does, asks for a
+cache-sized Gram). Every rbf entry is then exp(d2 * -gamma), one multiply
+by gamma = 0.5 / sigma**2, the scale scikit-learn's rbf_kernel uses.
+Single evaluations run the feature loop on a 1 x 1 block, and all three
+paths share the one rbf helper, so gram(spec, X, Y)[i, j] and
+kernel_eval(spec, X[i], Y[j]) agree bit for bit.
 """
 from __future__ import annotations
 
@@ -48,8 +52,11 @@ class KernelSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DomainError(f"kernel {name} must be a number, got {value!r}")
-        if fam == "rbf" and not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError(f"rbf kernel needs a finite sigma > 0, got {self.sigma}")
+        if fam == "rbf" and not (self.sigma > 0.0 and 0.0 < _rbf_gamma(self.sigma) < math.inf):
+            raise DomainError(
+                f"rbf kernel needs a sigma > 0 whose 0.5 / sigma**2 is a finite "
+                f"float > 0, got {self.sigma}"
+            )
         if fam == "polynomial":
             deg = self.degree
             try:
@@ -80,7 +87,7 @@ def _rows(spec: KernelSpec, xb: np.ndarray, yt: np.ndarray, out: np.ndarray) -> 
     out.fill(0.0)
     term = np.empty_like(out)
     # An rbf squared distance that overflows is inf, a kernel value of 0,
-    # which cdist (_cdist_rbf_rows) gives without a warning.
+    # which cdist (_cdist_rbf) gives without a warning.
     with np.errstate(over="ignore") if fam == "rbf" else contextlib.nullcontext():
         for f in range(yt.shape[0]):
             a, b = xb[:, f:f + 1], yt[f]
@@ -105,7 +112,7 @@ def _rows(spec: KernelSpec, xb: np.ndarray, yt: np.ndarray, out: np.ndarray) -> 
     return out
 
 
-def _cdist_rbf_rows(spec: KernelSpec, xb: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _cdist_rbf(spec: KernelSpec, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """_rows for the rbf kernel against C-ordered rows y (m, d). cdist adds
     the terms (x_f - y_f)^2 to zero in feature order, as _rows does, in one
     pass instead of three per feature."""
@@ -113,12 +120,27 @@ def _cdist_rbf_rows(spec: KernelSpec, xb: np.ndarray, y: np.ndarray, out: np.nda
     # resident memory to import, which a process that only fits never needs.
     from scipy.spatial.distance import cdist
 
-    cdist(xb, y, "sqeuclidean", out=out)
+    cdist(x, y, "sqeuclidean", out=out)
     return _rbf_of_squared_distances(spec, out)
 
 
+def _rbf_gamma(sigma) -> float:
+    """The rbf scale 0.5 / sigma**2 as one float: inf where sigma**2
+    underflows to 0, 0 where sigma is an int too large for a float."""
+    try:
+        sigma = float(sigma)
+    except OverflowError:
+        return 0.0
+    square = sigma * sigma
+    return 0.5 / square if square else math.inf
+
+
 def _rbf_of_squared_distances(spec: KernelSpec, out: np.ndarray) -> np.ndarray:
-    out /= -2.0 * spec.sigma * spec.sigma
+    """Map squared distances to rbf values in place: exp(d2 * -gamma), one
+    multiply and one exp per entry. A product that overflows (a huge d2, or
+    a d2 of inf) is -inf, a kernel value of 0, without a warning."""
+    with np.errstate(over="ignore"):
+        out *= -_rbf_gamma(spec.sigma)
     return np.exp(out, out=out)
 
 
@@ -172,16 +194,17 @@ def gram(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None,
             f"got {out.dtype} {out.shape}"
         )
     # Scoring builds rbf cross-Grams over and over, and cdist fills them in
-    # about two thirds of the time. A fit builds one square Gram, where it
-    # would save ~2 ms (n = 600) against the 0.14 s import of scipy.spatial,
-    # so square Grams keep the feature loop.
+    # about two thirds of the time, in one call over the whole of out: the
+    # KODS scorer asks for 1 MB Grams, which stay in cache, so blocks would
+    # only add calls. A fit builds one square Gram, where cdist would save
+    # ~2 ms (n = 600) against the 0.14 s import of scipy.spatial, so square
+    # Grams keep the feature loop.
     if spec.family == "rbf" and y is not x:
-        fill, other = _cdist_rbf_rows, np.ascontiguousarray(y)
-    else:
-        fill, other = _rows, np.ascontiguousarray(y.T)
+        return _cdist_rbf(spec, x, np.ascontiguousarray(y), out)
+    yt = np.ascontiguousarray(y.T)
     step = max(1, _BLOCK_ELEMENTS // max(m, 1))
     for i in range(0, n, step):
-        fill(spec, x[i:i + step], other, out[i:i + step])
+        _rows(spec, x[i:i + step], yt, out[i:i + step])
     return out
 
 

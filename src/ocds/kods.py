@@ -65,10 +65,11 @@ __all__ = [
 ]
 
 # Gram entries per chunk in _response_block: 2**17 float64 values
-# (1 MB), so a chunk's Gram stays in cache between the kernel pass and
-# the product that reads it; a 600-row support set scores 218 query rows
-# per chunk. On 600 x 20000 rbf scoring, 2**15 to 2**18 timed within 3%
-# of each other, 2**14 and 2**19 about 12% slower.
+# (1 MB), so a chunk's Gram stays in cache between the kernel pass (one
+# cdist call for rbf) and the product that reads it; a 600-row support
+# set scores 218 query rows per chunk. On 600 x 20000 rbf scoring (one
+# BLAS thread, median of 15 calls, 4 rounds), 2**16 and 2**18 timed 6%
+# and 10% slower, 2**15 15%, 2**14 28% and 2**19 40% slower.
 _SCORE_CHUNK = 1 << 17
 
 

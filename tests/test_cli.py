@@ -750,8 +750,12 @@ BAD_FLAGS = {
     "kods eta nan": lambda w, t: _kods(w, t, "--eta", "nan"),
     "offset nan": lambda w, t: _kods(w, t, "--kernel", "polynomial", "--offset", "nan"),
     "sigma inf": lambda w, t: _kods(w, t, "--sigma", "inf"),
+    "sigma 1e-200": lambda w, t: _kods(w, t, "--sigma", "1e-200"),
+    "sigma 1e-160": lambda w, t: _kods(w, t, "--sigma", "1e-160"),
     "synth d 0": lambda w, t: ["synth", "--kind", "gaussian", "--n", "5", "--d", "0",
                                "--out", str(t / "g.csv")],
+    "synth cov -1": lambda w, t: ["synth", "--kind", "gaussian", "--n", "5", "--cov", "-1",
+                                  "--out", str(t / "g.csv")],
 }
 
 

@@ -509,6 +509,46 @@ def test_gaussian_rejects_misshapen_covariance():
         synth("gaussian", 10, d=3, cov=np.eye(2))
 
 
+class _NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"synth drew ({name}) before rejecting its parameters")
+
+
+@pytest.mark.parametrize("params, error", [
+    ({"cov": -0.5}, DataError),
+    ({"cov": float("nan")}, DataError),
+    ({"cov": np.array([[1.0, 2.0], [2.0, 1.0]])}, DataError),   # indefinite
+    ({"cov": np.array([[1.0, 1.0], [1.0, 1.0]])}, DataError),   # singular
+    ({"cov": np.array([[1.0, 0.5], [0.0, 1.0]])}, DataError),   # asymmetric
+    ({"cov": np.array([[1.0, np.inf], [np.inf, 1.0]])}, DataError),
+    ({"cov": "abc"}, DataError),
+    ({"mean": [1.0, 2.0, 3.0]}, DimensionError),
+    ({"mean": float("inf")}, DataError),
+    ({"d": 2.5}, DataError),
+    ({"d": True}, DataError),
+    ({"d": float("nan")}, DataError),
+], ids=["negative-variance", "nan-variance", "indefinite", "singular", "asymmetric",
+        "inf-matrix", "text-cov", "mean-length", "inf-mean", "fractional-d", "bool-d", "nan-d"])
+def test_gaussian_rejects_bad_parameters_before_any_draw(monkeypatch, params, error):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _NoDraws())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            synth("gaussian", 10, **params)
+
+
+def test_gaussian_draws_are_the_generators_own():
+    # Checking the parameters first must not change a single draw.
+    cov = np.array([[1.0, 0.6], [0.6, 2.0]])
+    got = synth("gaussian", 50, seed=3, mean=[1.0, -1.0], cov=cov).features
+    want = np.random.default_rng(3).multivariate_normal([1.0, -1.0], cov, size=50,
+                                                        method="cholesky")
+    assert got.tobytes() == want.tobytes()
+    got = synth("gaussian", 50, seed=4, d=3.0, mean=2.0, cov=0.25).features
+    want = 2.0 + np.sqrt(0.25) * np.random.default_rng(4).standard_normal((50, 3))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_arbitrary_single_draw_matches_documented_order():
     ds = synth("arbitrary", 1, seed=0)
     rng = np.random.default_rng(0)

@@ -52,6 +52,13 @@ def test_spec_lowercases_family():
         {"family": "polynomial", "degree": True},
         {"family": "polynomial", "sigma": "abc"},
         {"family": "rbf", "offset": None},
+        # 0.5 / sigma**2 divides by a square that underflowed to 0 or is
+        # subnormal, or is 0 because the square overflowed; an int too large
+        # for a float has no square at all
+        {"family": "rbf", "sigma": 1e-200},
+        {"family": "rbf", "sigma": 1e-160},
+        {"family": "rbf", "sigma": 1e155},
+        {"family": "rbf", "sigma": 10**400},
     ],
 )
 def test_spec_rejects_bad_parameters(kwargs):
@@ -269,7 +276,7 @@ def test_gram_below_8_features_equals_a_row_by_row_sum(d):
     lin = np.empty_like(want)
     for i in range(x.shape[0]):
         diff = y - x[i]
-        want[i] = np.exp((diff * diff).sum(axis=1) / (-2.0 * sigma * sigma))
+        want[i] = np.exp((diff * diff).sum(axis=1) * -(0.5 / (sigma * sigma)))
         lin[i] = (y * x[i]).sum(axis=1)
     assert gram(KernelSpec(family="rbf", sigma=sigma), x, y).tobytes() == want.tobytes()
     assert gram(KernelSpec(family="linear"), x, y).tobytes() == lin.tobytes()
@@ -277,13 +284,13 @@ def test_gram_below_8_features_equals_a_row_by_row_sum(d):
 
 def _rbf_reference(x, y, sigma):
     # 0.0 plus the squared differences summed in feature order, then the
-    # divide and the exp: the rbf Gram entry bit for bit, independent of
-    # how gram computes it
+    # multiply by -gamma = -0.5 / sigma**2 and the exp: the rbf Gram entry
+    # bit for bit, independent of how gram computes it
     acc = np.zeros((x.shape[0], y.shape[0]))
     for f in range(x.shape[1]):
         diff = y[:, f][None, :] - x[:, f][:, None]
         acc = acc + diff * diff
-    return np.exp(acc / (-2.0 * sigma * sigma))
+    return np.exp(acc * -(0.5 / (sigma * sigma)))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -307,6 +314,20 @@ def test_rbf_gram_of_far_apart_rows_is_zero_without_a_warning():
         assert gram(spec, far[:1], far[1:]).tolist() == [[0.0]]
         assert gram(spec, far).tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert kernel_eval(spec, far[0], far[1]) == 0.0
+
+
+def test_rbf_product_that_overflows_is_zero_without_a_warning():
+    # gamma = 5e299 is finite, but d2 * gamma is not once d2 > ~3.6e8.
+    spec = KernelSpec(family="rbf", sigma=1e-150)
+    x = np.array([[0.0, 0.0], [1e5, 0.0], [1e-150, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gram(spec, x)
+        assert g[0, 1] == g[1, 0] == 0.0
+        assert g[0, 2] == np.exp(-0.5)
+        assert np.diag(g).tolist() == [1.0, 1.0, 1.0]
+        assert gram(spec, x[:1], x[1:]).tolist() == g[:1, 1:].tolist()
+        assert kernel_eval(spec, x[0], x[1]) == 0.0
 
 
 def test_a_fit_does_not_import_scipy_spatial():

@@ -438,6 +438,23 @@ def test_batch_scoring_never_holds_the_whole_cross_gram():
     assert peak < full_gram / 2
 
 
+@pytest.mark.parametrize("n, m", [(600, 1000), (40, 7000), (5000, 60)])
+def test_scoring_makes_one_cdist_call_per_chunk(monkeypatch, n, m):
+    import scipy.spatial.distance
+
+    real, calls = scipy.spatial.distance.cdist, []
+
+    def counting(xa, xb, *args, **kwargs):
+        calls.append(xa.shape[0])
+        return real(xa, xb, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial.distance, "cdist", counting)
+    kods_scores_batch(_random_model(n), np.random.default_rng(3).uniform(-1.0, 1.0, (m, 2)))
+    step = ocds.kods._SCORE_CHUNK // n
+    assert len(calls) == -(-m // step)
+    assert sum(calls) == m
+
+
 def test_scores_normalize_when_the_model_did():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((10, 3))

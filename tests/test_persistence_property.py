@@ -23,6 +23,9 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 )
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
+# An rbf sigma must keep 0.5 / sigma**2 a finite float > 0; other families
+# ignore sigma.
+RBF_SIGMA = st.floats(min_value=1e-150, max_value=1e150)
 
 
 def _array(shape):
@@ -55,7 +58,8 @@ def kods_models(draw):
     k = draw(st.integers(1, 3))
     n = draw(st.integers(1, 4))
     d = draw(st.integers(1, 3))
-    kernel = KernelSpec(family=draw(st.sampled_from(FAMILIES)), sigma=draw(POSITIVE),
+    family = draw(st.sampled_from(FAMILIES))
+    kernel = KernelSpec(family=family, sigma=draw(RBF_SIGMA if family == "rbf" else POSITIVE),
                         degree=draw(st.integers(1, 5)), offset=draw(NONNEGATIVE))
     return KodsModel(
         duals=DualVars(y=draw(_array((k, n))), z=draw(_array((k, n)))),
