@@ -137,8 +137,8 @@ def _rbf_gamma(sigma) -> float:
 
 def _rbf_of_squared_distances(spec: KernelSpec, out: np.ndarray) -> np.ndarray:
     """Map squared distances to rbf values in place: exp(d2 * -gamma), one
-    multiply and one exp per entry. A product that overflows (a huge d2, or
-    a d2 of inf) is -inf, a kernel value of 0, without a warning."""
+    multiply and one exp per entry. A d2 of inf, or a product that
+    overflows, is -inf, a kernel value of 0, without a warning."""
     with np.errstate(over="ignore"):
         out *= -_rbf_gamma(spec.sigma)
     return np.exp(out, out=out)
