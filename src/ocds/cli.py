@@ -29,7 +29,7 @@ from .primal import (
     primal_scores_batch,
     train_primal,
 )
-from .solver import SolverConfig, fd_gradient_check
+from .solver import SolveReport, SolverConfig, fd_gradient_check
 
 GRADCHECK_TOL = 1e-5
 _INPUT_ERRORS = errors.INPUT_ERRORS + (OSError,)
@@ -170,17 +170,9 @@ def cmd_train(args) -> int:
         "variant": args.variant,
         "n_train": int(x.shape[0]),
         "feature_dim": int(x.shape[1]),
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "stop_reason": report.stop_reason,
-        "cost_evals": report.cost_evals,
-        "grad_evals": report.grad_evals,
-        "retractions": report.retractions,
-        "feasibility": report.feasibility,
-        "wall_time": report.wall_time,
-        "objective_trace": report.objective_trace,
-        "grad_norm_trace": report.grad_norm_trace,
-        "step_trace": report.step_trace,
+        **{name: getattr(report, name)
+           for name, attr in vars(SolveReport).items() if isinstance(attr, property)},
+        **asdict(report),
     }
     report_path = Path(str(args.out) + ".report.json")
     report_path.write_text(json.dumps(report_doc, indent=1) + "\n")
@@ -216,6 +208,8 @@ def cmd_eval(args) -> int:
     if not truth.any():
         raise errors.DataError(f"target label {args.target!r} not present in the data")
     report = compute_metrics(preds, truth, scores=scores, threshold=eta)
+    if args.roc:
+        fpr, tpr = roc_points(truth, scores)  # raises before anything is written
     doc = {
         "n": int(ds.n),
         "n_in_class": int(truth.sum()),
@@ -225,7 +219,6 @@ def cmd_eval(args) -> int:
     }
     _write_out(json.dumps(doc, indent=1) + "\n", args.out, "evaluation report")
     if args.roc:
-        fpr, tpr = roc_points(truth, scores)
         roc_text = "fpr,tpr\n" + "\n".join(
             f"{float(f)!r},{float(t)!r}" for f, t in zip(fpr, tpr)
         ) + "\n"
@@ -340,6 +333,26 @@ def _bench_one(ds: Dataset, target: str, seeds: int, kernel: KernelSpec):
     return np.asarray(gods_f1), np.asarray(kods_f1)
 
 
+def _dataset_config(path: Path):
+    """(name, csv path, load_csv keyword arguments, target label, KernelSpec)
+    from one bench-uci dataset config; a relative csv path is taken from
+    the config's directory. A config that does not parse raises SchemaError."""
+    try:
+        doc = json.loads(path.read_text())
+        if not isinstance(doc, dict):
+            raise TypeError(f"top level must be an object, got {type(doc).__name__}")
+        load_args = {"label_column": doc["label_column"],
+                     "delimiter": doc.get("delimiter", ","),
+                     "has_header": doc.get("has_header", False)}
+        return (doc.get("name", path.stem), path.parent / doc["csv"], load_args,
+                str(doc["target"]), KernelSpec(**doc.get("kernel", {})))
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        # TypeError covers a kernel block that is not an object or has an
+        # unknown key; ValueError, bad JSON and bad kernel parameters;
+        # RecursionError, JSON nested deeper than the parser's stack.
+        raise errors.SchemaError(f"bad dataset config {path}: {exc}") from None
+
+
 def cmd_bench_uci(args) -> int:
     config_dir = Path(args.config_dir)
     if not config_dir.is_dir():
@@ -350,32 +363,11 @@ def cmd_bench_uci(args) -> int:
 
     rows = []
     for cfg_path in configs:
-        try:
-            doc = json.loads(cfg_path.read_text())
-            if not isinstance(doc, dict):
-                raise TypeError(f"top level must be an object, got {type(doc).__name__}")
-            name = doc.get("name", cfg_path.stem)
-            csv_path = Path(doc["csv"])
-            label_key = doc["label_column"]
-            target_key = doc["target"]
-            kernel = KernelSpec(**doc.get("kernel", {}))
-        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-            # TypeError covers a kernel block that is not an object or has an
-            # unknown key; ValueError, bad JSON and bad kernel parameters;
-            # RecursionError, JSON nested deeper than the parser's stack.
-            raise errors.SchemaError(f"bad dataset config {cfg_path}: {exc}") from None
-        if not csv_path.is_absolute():
-            csv_path = cfg_path.parent / csv_path
+        name, csv_path, load_args, target, kernel = _dataset_config(cfg_path)
         if not csv_path.exists():
             print(f"{name}: skipped (csv not found at {csv_path})")
             continue
-        ds = load_csv(
-            csv_path,
-            label_column=label_key,
-            delimiter=doc.get("delimiter", ","),
-            has_header=doc.get("has_header", False),
-        )
-        target = str(target_key)
+        ds = load_csv(csv_path, **load_args)
         gods_f1, kods_f1 = _bench_one(ds, target, args.seeds, kernel)
         rows.append((name, gods_f1, kods_f1))
         print(

@@ -53,14 +53,7 @@ class Dataset:
     source: str = ""
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or min(self.features.shape) < 1:
-            raise DataError(
-                f"dataset needs a 2-D feature matrix with at least one row and one "
-                f"column, got shape {self.features.shape}"
-            )
-        if not np.isfinite(self.features).all():
-            raise DataError("dataset features contain non-finite values")
+        self.features = _training_rows(self.features)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=object)
             if self.labels.shape != (self.features.shape[0],):
@@ -91,10 +84,10 @@ def load_csv(
     dropped. A header, when there is one, sets the column count. A
     delimiter the csv module rejects (anything but one character) raises
     SchemaError before the file is opened. Undecodable bytes, unparseable
-    fields and ragged rows raise DataError, the latter two with the file
-    line on which the offending record ends (blank lines and quoted line
-    breaks counted); rows that parse to non-finite values are dropped with
-    a warning listing their indices.
+    fields, ragged rows and rows that parse to non-finite values raise
+    DataError, the last three with the file line on which the offending
+    record ends (blank lines and quoted line breaks counted), so every row
+    of the file is a row of the Dataset.
     """
     try:
         csv.reader((), delimiter=delimiter)
@@ -168,20 +161,7 @@ def load_csv(
     x = np.asarray(feats, dtype=np.float64)
     if x.shape[1] == 0:
         raise DataError(f"{path}: no feature columns left")
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)
-        warnings.warn(
-            f"{path}: dropped {bad.size} row(s) with non-finite values "
-            f"(row indices {bad.tolist()})",
-            stacklevel=2,
-        )
-        x = x[finite]
-        if label_idx is not None:
-            labels = [lab for lab, ok in zip(labels, finite) if ok]
-        if x.shape[0] == 0:
-            raise DataError(f"{path}: every row was non-finite")
-
+    _reject_non_finite(x, lambda i: f"{path}: line {rows[i][0]}")
     return Dataset(
         features=x,
         labels=np.asarray(labels, dtype=object) if label_idx is not None else None,
@@ -245,7 +225,7 @@ def _unit_rows(x: np.ndarray, stacklevel: int = 3) -> tuple[np.ndarray, np.ndarr
     nz = norms > 0.0
     if not (nz.all() and norms.max(initial=0.0) < np.inf):
         suspect = np.flatnonzero(~nz | np.isinf(norms))  # NaN norms fail nz
-        _reject_non_finite(suspect[~np.isfinite(x[suspect]).all(axis=1)])
+        _reject_non_finite(x[suspect], lambda i: f"row {suspect[i]}")
         redo = suspect[x[suspect].any(axis=1)]
         if redo.size:
             rows = x.copy()
@@ -261,16 +241,16 @@ def _unit_rows(x: np.ndarray, stacklevel: int = 3) -> tuple[np.ndarray, np.ndarr
 
 
 def _training_rows(x) -> np.ndarray:
-    """A model's training matrix as float64, checked 2-D with at least one
-    row and one feature column, and finite."""
+    """A Dataset's features or a model's training matrix as C-ordered
+    float64, checked 2-D with at least one row and one feature column, and
+    finite."""
     x = np.asarray(x, dtype=np.float64, order="C")
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
         raise DataError(
-            f"training data must be a 2-D array with at least one row and one "
-            f"feature column, got shape {x.shape}"
+            f"features must be a 2-D array with at least one row and one "
+            f"column, got shape {x.shape}"
         )
-    if not np.isfinite(x).all():
-        raise DataError("training data contains non-finite values")
+    _reject_non_finite(x)
     return x
 
 
@@ -294,14 +274,17 @@ def _query_rows(x, dim: int, normalize: bool):
         raise DimensionError(f"expected rows of length {dim}, got shape {x.shape}")
     if normalize:
         return _unit_rows(x, stacklevel=4)
-    _reject_non_finite(np.flatnonzero(~np.isfinite(x).all(axis=1)))
+    _reject_non_finite(x)
     return x, None
 
 
-def _reject_non_finite(bad: np.ndarray) -> None:
-    """DataError naming the first of the rows `bad`, if there are any."""
-    if bad.size:
-        raise DataError(f"row {bad[0]} has non-finite values ({bad.size} such row(s))")
+def _reject_non_finite(x: np.ndarray, name=lambda i: f"row {i}") -> None:
+    """DataError naming, as name(i), the first row i of the 2-D x with a
+    non-finite entry and counting such rows. A finite x costs one flat
+    pass; the rows are located only after it fails."""
+    if not np.isfinite(x).all():
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        raise DataError(f"{name(bad[0])} has non-finite values ({bad.size} such row(s))")
 
 
 def _score_one(score_batch, model, x, dim: int) -> tuple[float, float]:

@@ -70,8 +70,11 @@ class KernelSpec:
 
 
 # Entries of the Gram that gram() fills per block: 2**15 float64 values
-# (256 KB) per block and per scratch block stay in cache; measured fastest
-# on 600 x 20000 and 2000 x 2000 rbf Grams.
+# (256 KB) per block and per scratch block stay in cache. Blocks serve the
+# square Grams of a fit and every non-rbf Gram (rbf cross-Grams take one
+# cdist call). A square rbf Gram of 2-D rows, at one BLAS thread on a
+# 2-CPU x86-64 host, took 1.7 ms blocked against 3.9 ms unblocked at
+# n = 600, and 40 against 90 ms at n = 2400.
 _BLOCK_ELEMENTS = 1 << 15
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .data import (_check_hyper, _check_model, _query_rows, _score_one,
                    _training_rows, l2_normalize)
-from .errors import DataError, DimensionError, DomainError
+from .errors import DataError, DegenerateStepError, DimensionError, DomainError
 from .inference import _extremes
 from .kernels import KernelSpec, _factor_pd, gram
 from .manifolds import GeneralizedStiefel, _GeneralizedStiefelPair, _gram_residual
@@ -294,8 +294,16 @@ def kods_train(
     # restores full rank while keeping the start effectively uniform.
     rng = np.random.default_rng(seed)
     base = np.full((hyper.k, n), 1.0 / (n * hyper.k))
-    y0 = factor.polar(base * (1.0 + 1e-3 * rng.standard_normal(base.shape)))
-    z0 = factor.polar(base * (1.0 + 1e-3 * rng.standard_normal(base.shape)))
+    try:
+        y0 = factor.polar(base * (1.0 + 1e-3 * rng.standard_normal(base.shape)))
+        z0 = factor.polar(base * (1.0 + 1e-3 * rng.standard_normal(base.shape)))
+    except DegenerateStepError:
+        # k above the Gram's numerical rank (at most d + 1 for a degree-1
+        # polynomial kernel on d features) leaves no rank-k start.
+        raise DataError(
+            f"k={hyper.k} exceeds the rank of the {kernel.family} kernel's Gram "
+            f"matrix of the training rows"
+        ) from None
 
     point, report = minimize(objective, manifold, (y0, z0), cfg)
     duals = DualVars(y=point[0], z=point[1])

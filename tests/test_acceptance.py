@@ -4,14 +4,14 @@ One test per release criterion; each prints a single PASS/FAIL/SKIP line
 (visible under pytest -s or in failure output) in addition to the usual
 pytest verdict. Tolerances are pinned here and must not be loosened.
 """
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ocds.data import synth
+from ocds.cli import _bench_one, _dataset_config
+from ocds.data import load_csv, synth
 from ocds.inference import classify
 from ocds.kernels import KernelSpec, ensure_pd, gram
 from ocds.kods import KodsHyper, build_kods_problem, kods_scores_batch, kods_train
@@ -220,6 +220,7 @@ def test_criterion_5_synthetic_ring_reproduction():
     _verdict(5, "ring data accepted and hole points rejected at 90 percent", body)
 
 
+UCI_DIR = ROOT / "bench" / "uci"
 BANDS = {
     "banknote": ("floor", 0.90),
     "scale": ("floor", 0.85),
@@ -229,31 +230,21 @@ BANDS = {
 }
 
 
+def _uci_configs():
+    return [_dataset_config(path) for path in sorted(UCI_DIR.glob("*.json"))]
+
+
 def test_criterion_6_uci_desk_scale_reproduction():
     def body():
-        config_dir = ROOT / "bench" / "uci"
-        configs = sorted(config_dir.glob("*.json")) if config_dir.is_dir() else []
-        available = []
-        for cfg_path in configs:
-            doc = json.loads(cfg_path.read_text())
-            csv = cfg_path.parent / doc["csv"]
-            if csv.exists():
-                available.append((cfg_path.stem, doc, csv))
+        available = [config for config in _uci_configs() if config[1].exists()]
         if not available:
             pytest.skip(
                 "UCI benchmark CSVs not present; download them and place the "
                 "files under bench/uci/data/ as described in bench/uci/README.md"
             )
 
-        from ocds.cli import _bench_one, _kernel_from_config
-        from ocds.data import load_csv
-
-        for name, doc, csv in available:
-            ds = load_csv(csv, label_column=doc["label_column"],
-                          delimiter=doc.get("delimiter", ","),
-                          has_header=doc.get("has_header", False))
-            gods_f1, kods_f1 = _bench_one(ds, str(doc["target"]), 5,
-                                          _kernel_from_config(doc))
+        for name, csv, load_args, target, kernel in available:
+            gods_f1, kods_f1 = _bench_one(load_csv(csv, **load_args), target, 5, kernel)
             g, k = gods_f1.mean(), kods_f1.mean()
             band = BANDS[name]
             if band[0] == "floor":
@@ -263,6 +254,17 @@ def test_criterion_6_uci_desk_scale_reproduction():
             assert k >= g - 0.03, f"{name}: kods F1 {k:.3f} vs gods {g:.3f}"
 
     _verdict(6, "UCI one-class scores land in the published bands", body)
+
+
+def test_criterion_6_configs_parse_without_the_csvs():
+    # Criterion 6 skips without the CSVs, so its reader and configs are
+    # checked here: every band has a config, and every config a band.
+    configs = _uci_configs()
+    assert sorted(name for name, *_ in configs) == sorted(BANDS)
+    for name, csv, load_args, target, kernel in configs:
+        assert csv.parent == UCI_DIR / "data", name
+        assert set(load_args) == {"label_column", "delimiter", "has_header"}, name
+        assert isinstance(target, str) and isinstance(kernel, KernelSpec), name
 
 
 def test_criterion_7_margin_monotonicity():

@@ -3,7 +3,7 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from ocds.kods import KodsHyper, kods_train
 from ocds.persistence import data_fingerprint, load_model, save_model
 from ocds.primal import (FramePair, GodsHyper, TrainedPrimalModel, primal_scores_batch,
                          train_primal)
-from ocds.solver import SolverConfig
+from ocds.solver import SolveReport, SolverConfig
 
 
 def _axis_model():
@@ -252,6 +252,12 @@ def test_train_report_says_why_the_fit_stopped(workdir):
     assert "stop_reason" not in (workdir / "gods.json").read_text()
 
 
+def test_train_report_holds_every_solve_report_field_and_property(workdir):
+    report = json.loads((workdir / "gods.json.report.json").read_text())
+    names = {f.name for f in fields(SolveReport)} | {"iterations", "grad_evals", "converged"}
+    assert set(report) == {"variant", "n_train", "feature_dim"} | names
+
+
 _CALL_FIELDS = ("cost_evals", "grad_evals", "retractions", "feasibility")
 
 
@@ -334,6 +340,18 @@ def test_predict_dimension_mismatch_exits_1(workdir, tmp_path):
     assert rc == 1
 
 
+def test_predict_non_finite_row_exits_1_naming_its_line(workdir, tmp_path, capsys):
+    # Dropping the row would put every later label on the wrong input.
+    csv, out = tmp_path / "gap.csv", tmp_path / "pred.csv"
+    csv.write_text("1.0,2.0,3.0\nnan,4.0,5.0\n6.0,7.0,8.0\n")
+    rc = main(["predict", "--model", str(workdir / "gods.json"), "--data", str(csv),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "input error" in err and "gap.csv: line 2 has non-finite values" in err
+    assert not out.exists()
+
+
 def test_predict_deeply_nested_model_exits_1(workdir, tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 5000 + "]" * 5000)
@@ -414,6 +432,19 @@ def test_eval_writes_roc_points(tmp_path):
     assert lines[0] == "fpr,tpr"
     assert lines[-1] == "1.0,1.0"
     assert (tmp_path / "report.json").exists()
+
+
+def test_eval_roc_of_one_class_exits_1_before_writing(tmp_path, capsys):
+    model_path, csv = _write_separable(tmp_path)
+    csv.write_text("1.0,-1.0,pos\n0.8,-0.9,pos\n")
+    report, roc = tmp_path / "report.json", tmp_path / "roc.csv"
+    rc = main(["eval", "--model", str(model_path), "--data", str(csv),
+               "--label-column", "2", "--target", "pos",
+               "--out", str(report), "--roc", str(roc)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and "both classes" in err
+    assert "wrote" not in out
+    assert not report.exists() and not roc.exists()
 
 
 def test_eval_on_training_data_accepts_most_points(tmp_path):

@@ -34,6 +34,13 @@ def test_dataset_rejects_bad_inputs():
         Dataset(features=np.empty((3, 0)))
 
 
+def test_dataset_names_its_first_non_finite_row():
+    x = np.zeros((4, 2))
+    x[2, 1] = np.inf
+    with pytest.raises(DataError, match=r"^row 2 has non-finite values \(1 such row"):
+        Dataset(features=x)
+
+
 # ---------------------------------------------------------------------------
 # load_csv
 
@@ -196,21 +203,21 @@ def test_load_rejects_a_delimiter_that_is_not_one_character(tmp_path, delimiter)
         load_csv(tmp_path / "absent.csv", delimiter=delimiter)
 
 
-def test_load_drops_non_finite_rows_with_warning(tmp_path):
+def test_load_rejects_a_non_finite_row_naming_its_line(tmp_path):
+    # Dropping the row would shift every later row's label or prediction.
     p = tmp_path / "inf.csv"
-    p.write_text("1,2,a\ninf,3,b\n4,5,c\n")
-    with pytest.warns(UserWarning, match=r"dropped 1 row\(s\).*\[1\]"):
-        ds = load_csv(p, label_column=-1)
-    np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [4.0, 5.0]])
-    assert list(ds.labels) == ["a", "c"]  # labels stay aligned after the drop
+    p.write_text("x,y,label\n1,2,a\n\ninf,3,b\n4,5,c\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"inf\.csv: line 4 has non-finite values \(1 such row"):
+            load_csv(p, label_column="label", has_header=True)
 
 
-def test_load_every_row_non_finite(tmp_path):
+def test_load_with_every_row_non_finite_names_the_first(tmp_path):
     p = tmp_path / "allinf.csv"
     p.write_text("inf,1\nnan,2\n")
-    with pytest.warns(UserWarning):
-        with pytest.raises(DataError, match="every row"):
-            load_csv(p)
+    with pytest.raises(DataError, match=r"line 1 has non-finite values \(2 such row"):
+        load_csv(p)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def _load(raw: bytes, **kwargs):
         path = Path(tmp) / "fuzz.csv"
         path.write_bytes(raw)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # dropped non-finite rows
+            warnings.simplefilter("error")  # load_csv raises on a bad row, never warns
             try:
                 ds = load_csv(path, **kwargs)
             except (DataError, SchemaError):

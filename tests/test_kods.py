@@ -281,6 +281,19 @@ def test_training_rejects_zero_feature_columns():
         kods_train(np.zeros((5, 0)), KernelSpec(), KodsHyper(k=1))
 
 
+@pytest.mark.parametrize("kernel, k", [
+    (KernelSpec(family="linear"), 3),
+    (KernelSpec(family="polynomial", degree=1), 4),
+], ids=["linear-k3", "polynomial-degree-1-k4"])
+def test_training_rejects_k_above_the_gram_rank(kernel, k):
+    # On 2-D rows the Gram has rank 2 (linear) or 3 (x.y + 1), so there is
+    # no start point with k independent components: an input error, not a
+    # numeric one.
+    x = np.random.default_rng(0).standard_normal((30, 2))
+    with pytest.raises(DataError, match=rf"k={k} exceeds the rank of the {kernel.family} kernel"):
+        kods_train(x, kernel, KodsHyper(k=k))
+
+
 def test_training_propagates_gram_conditioning_failures():
     x = np.zeros((3, 2))
     with pytest.raises(ConditioningError):
