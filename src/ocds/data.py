@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import csv
 import io
-import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimensionError, DomainError, SchemaError
+from .errors import DataError, DimensionError, DomainError, SchemaError, _check_number
 
 __all__ = [
     "Dataset",
@@ -256,12 +254,9 @@ def _training_rows(x) -> np.ndarray:
 
 def _check_hyper(k, eta, lam) -> None:
     """The k, eta and lam checks of both hyperparameter dataclasses."""
-    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1):
-        raise DomainError(f"k must be an integer >= 1, got {k!r}")
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise DomainError(f"eta must be positive and finite, got {eta}")
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise DomainError(f"lam must be finite and >= 0, got {lam}")
+    _check_number(k, "k", 1, integer=True)
+    _check_number(eta, "eta", 0.0, strict=True)
+    _check_number(lam, "lam", 0.0)
 
 
 def _query_rows(x, dim: int, normalize: bool):
@@ -300,8 +295,7 @@ def _check_model(eta_effective, arrays) -> None:
     """Checks shared by both trained-model dataclasses: a finite threshold
     > 0 (DomainError), and for each (name, array, shape) a finite array of
     exactly that shape, or no array where shape is None (DimensionError)."""
-    if not (math.isfinite(eta_effective) and eta_effective > 0.0):
-        raise DomainError(f"eta_effective must be finite and > 0, got {eta_effective}")
+    _check_number(eta_effective, "eta_effective", 0.0, strict=True)
     for name, a, shape in arrays:
         got = None if a is None else np.shape(a)
         if got != shape:
@@ -320,8 +314,7 @@ def one_class_split(
     rows plus all other labels), in original row order."""
     if dataset.labels is None:
         raise DataError("one_class_split needs a labeled dataset")
-    if not (0.0 < ratio < 1.0):
-        raise DataError(f"split ratio must be in (0, 1), got {ratio}")
+    _check_number(ratio, "split ratio", 0.0, strict=True, high=1.0, error=DataError)
     labels = dataset.labels
     pos = np.flatnonzero(labels == target)
     if pos.size == 0:
@@ -367,8 +360,7 @@ def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
     """
     if kind not in SYNTH_KINDS:
         raise DataError(f"unknown synthetic kind {kind!r}; choose from {SYNTH_KINDS}")
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
-        raise DataError(f"synth needs an integer n >= 1, got {n!r}")
+    _check_number(n, "synth n", 1, integer=True, error=DataError)
     unknown = sorted(set(params) - set(SYNTH_PARAMS[kind]))
     if unknown:
         raise DataError(f"unknown parameters for synth kind {kind!r}: {unknown}")
@@ -390,17 +382,14 @@ def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
         x2 = np.sqrt(x1) * (x1 + signs * u)
         x = np.column_stack([x1, x2])
     elif kind == "ring":
-        r_in, r_out = float(params["r_in"]), float(params["r_out"])
-        _check_ring(r_in, r_out)
+        r_in, r_out = _ring_radii(params)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
         radius = rng.uniform(r_in, r_out, size=n)
         x = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
     else:  # ring3d
-        r_in, r_out = float(params["r_in"]), float(params["r_out"])
-        height = float(params["height"])
-        _check_ring(r_in, r_out)
-        if height <= 0.0:
-            raise DataError(f"ring3d height must be positive, got {height}")
+        r_in, r_out = _ring_radii(params)
+        height = float(_check_number(params["height"], "ring3d height", 0.0, strict=True,
+                                     error=DataError))
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
         radius = rng.uniform(r_in, r_out, size=n)
         z = rng.uniform(-height / 2.0, height / 2.0, size=n)
@@ -414,24 +403,18 @@ def _gaussian_params(d, mean, cov):
     whole number >= 1, mean a finite scalar or d-vector (returned as a
     d-vector), cov a finite variance >= 0 or a symmetric positive definite
     d x d matrix, the only kind its Cholesky draw reads in full."""
-    try:
-        whole = int(d) == d and d >= 1 and not isinstance(d, bool)
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise DataError(f"gaussian synth needs a whole number d >= 1, got {d!r}")
-    d = int(d)
+    d = int(_check_number(d, "gaussian d", 1, whole=True, error=DataError))
+    variance = cov
     try:
         mean, cov = np.asarray(mean, dtype=np.float64), np.asarray(cov, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataError(f"gaussian synth needs numeric mean and cov, got {mean!r}, {cov!r}") from None
     if mean.shape not in ((), (d,)):
         raise DimensionError(f"mean must be scalar or of length {d}, got shape {mean.shape}")
     if not np.isfinite(mean).all():
         raise DataError("gaussian synth needs a finite mean")
     if cov.ndim == 0:
-        if not (math.isfinite(cov) and cov >= 0.0):
-            raise DataError(f"gaussian synth needs a finite variance >= 0, got {float(cov)}")
+        _check_number(variance, "gaussian variance", 0.0, error=DataError)
     else:
         if cov.shape != (d, d):
             raise DimensionError(f"covariance must be scalar or {d}x{d}, got shape {cov.shape}")
@@ -446,6 +429,8 @@ def _gaussian_params(d, mean, cov):
     return d, np.broadcast_to(mean, (d,)), cov
 
 
-def _check_ring(r_in: float, r_out: float) -> None:
-    if not (0.0 < r_in < r_out):
-        raise DataError(f"ring radii must satisfy 0 < r_in < r_out, got {r_in}, {r_out}")
+def _ring_radii(params) -> tuple[float, float]:
+    """synth's ring radii as floats, checked 0 < r_in < r_out."""
+    r_in = float(_check_number(params["r_in"], "ring r_in", 0.0, strict=True, error=DataError))
+    return r_in, float(_check_number(params["r_out"], "ring r_out", r_in, strict=True,
+                                     error=DataError))

@@ -15,13 +15,12 @@ silently optimistic.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, _check_number
 
 __all__ = [
     "ConfusionCounts",
@@ -138,8 +137,7 @@ def calibrate_eta(scores_l, scores_u, eta: float) -> float:
     inputs (too few distinct or non-finite scores) leave eta unchanged
     with a warning; a non-finite or non-positive eta raises DomainError.
     """
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise DomainError(f"eta must be positive and finite, got {eta}")
+    _check_number(eta, "eta", 0.0, strict=True)
     try:
         c_l = two_means(scores_l)
         c_u = two_means(scores_u)

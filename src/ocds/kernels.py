@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConditioningError, DimensionError, DomainError
+from .errors import ConditioningError, DimensionError, DomainError, _check_number
 
 __all__ = ["KernelSpec", "kernel_eval", "gram", "ensure_pd", "FAMILIES"]
 
@@ -58,15 +58,8 @@ class KernelSpec:
                 f"float > 0, got {self.sigma}"
             )
         if fam == "polynomial":
-            deg = self.degree
-            try:
-                whole = math.isfinite(deg) and deg >= 1 and int(deg) == deg
-            except OverflowError:  # an integer too large for a float
-                whole = False
-            if not whole:
-                raise DomainError(f"polynomial degree must be an integer >= 1, got {self.degree}")
-            if not (math.isfinite(self.offset) and self.offset >= 0.0):
-                raise DomainError(f"polynomial offset must be finite and >= 0, got {self.offset}")
+            _check_number(self.degree, "polynomial degree", 1, whole=True)
+            _check_number(self.offset, "polynomial offset", 0.0)
 
 
 # Entries of the Gram that gram() fills per block: 2**15 float64 values

@@ -37,14 +37,13 @@ miss the memo, as they must.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import (_check_hyper, _check_model, _query_rows, _score_one,
                    _training_rows, l2_normalize)
-from .errors import DataError, DegenerateStepError, DimensionError, DomainError
+from .errors import DataError, DegenerateStepError, DimensionError, _check_number
 from .inference import _extremes
 from .kernels import KernelSpec, _factor_pd, gram
 from .manifolds import GeneralizedStiefel, _GeneralizedStiefelPair, _gram_residual
@@ -103,8 +102,7 @@ class KodsModel:
     hyper: KodsHyper
 
     def __post_init__(self):
-        if not (math.isfinite(self.jitter) and self.jitter >= 0.0):
-            raise DomainError(f"jitter must be finite and >= 0, got {self.jitter}")
+        _check_number(self.jitter, "jitter", 0.0)
         shape = np.shape(self.support)
         if len(shape) != 2:
             raise DimensionError(f"support must be a 2-D array, got shape {shape}")

@@ -3,7 +3,9 @@
 A model file is the model's dataclass tree, written by one encoder and
 read back by one decoder that both walk the dataclass fields. Arrays are
 {"shape", "data"} objects; None fields (r1/r2 outside gods_n) are left
-out. On load each JSON value must have its field's type, and the rebuilt
+out. On load each JSON value must have its field's type (an array's data
+a flat list of numbers, its shape a list of ints >= 0 whose product is the
+number of values), and the rebuilt
 dataclasses check finiteness, ranges and shape agreement themselves, so
 wrong types, non-finite values and inconsistent shapes all surface as
 `SchemaError` (CLI exit 1).
@@ -18,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from pathlib import Path
 
@@ -32,6 +35,10 @@ __all__ = ["SCHEMA_VERSION", "save_model", "load_model", "data_fingerprint"]
 SCHEMA_VERSION = 1
 
 _KINDS = {"primal": TrainedPrimalModel, "kods": KodsModel}
+
+# The JSON value types each scalar field type accepts. bool subclasses int
+# in Python: it fills a bool field and nothing else.
+_JSON_TYPES = {bool: {bool}, int: {int}, float: {int, float}, str: {str}}
 
 
 def data_fingerprint(x: np.ndarray) -> str:
@@ -71,12 +78,15 @@ def _decode_value(tp, value):
     if dataclasses.is_dataclass(tp):
         return _decode(tp, value)
     if tp is np.ndarray:
-        shape = [_decode_value(int, s) for s in value["shape"]]
-        return np.asarray(value["data"], dtype=np.float64).reshape(shape)
-    # bool subclasses int in Python: it fills a bool field and nothing else
-    if isinstance(value, bool) is not (tp is bool) or not isinstance(
-        value, (int, float) if tp is float else tp
-    ):
+        shape, data = value["shape"], value["data"]
+        if not (isinstance(shape, list) and isinstance(data, list)
+                and set(map(type, data)) <= _JSON_TYPES[float]):
+            raise SchemaError("expected a list shape and a flat list of numbers as data")
+        shape = [_decode_value(int, s) for s in shape]
+        if min(shape, default=0) < 0 or math.prod(shape) != len(data):
+            raise SchemaError(f"shape {shape} does not hold {len(data)} values")
+        return np.asarray(data, dtype=np.float64).reshape(shape)
+    if type(value) not in _JSON_TYPES[tp]:
         raise SchemaError(f"expected {tp.__name__}, got {value!r}")
     return tp(value)
 

@@ -39,7 +39,6 @@ response to the same row.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -48,7 +47,7 @@ import numpy as np
 
 from .data import (_check_hyper, _check_model, _query_rows, _score_one,
                    _training_rows, l2_normalize)
-from .errors import DataError, DimensionError, DomainError, NumericError
+from .errors import DataError, DimensionError, DomainError, NumericError, _check_number
 from .inference import _extremes
 from .manifolds import (
     Euclidean,
@@ -100,10 +99,8 @@ class GodsHyper:
         _check_hyper(self.k, self.eta, self.lam)
         if v == "bods" and self.k != 1:
             raise DomainError(f"bods uses a single hyperplane pair; k must be 1, got {self.k}")
-        if not (math.isfinite(self.nu) and self.nu > 0.0):
-            raise DomainError(f"nu must be positive and finite, got {self.nu}")
-        if not (math.isfinite(self.p_norm) and self.p_norm >= 1.0):
-            raise DomainError(f"p_norm must be finite and >= 1, got {self.p_norm}")
+        _check_number(self.nu, "nu", 0.0, strict=True)
+        _check_number(self.p_norm, "p_norm", 1.0)
 
 
 @dataclass
@@ -322,9 +319,8 @@ def init_frames(x: np.ndarray, k: int, seed: int = 0) -> FramePair:
     zero. With fewer than 3K rows the spans are unreliable, so both frames
     fall back to seeded random draws (with a warning).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise DataError(f"init_frames needs a nonempty 2-D array, got shape {x.shape}")
+    x = _training_rows(x)
+    _check_number(k, "k", 1, integer=True)
     n, d = x.shape
     if d < k:
         raise DimensionError(f"k={k} exceeds the feature dimension {d}")

@@ -36,15 +36,13 @@ for bit.
 """
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateStepError, DomainError, NumericError
+from .errors import DegenerateStepError, NumericError, _check_number
 from .manifolds import (
     Manifold,
     tree_all_finite,
@@ -83,11 +81,8 @@ class SolverConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, numbers.Integral)
-                and not isinstance(self.max_iters, bool) and self.max_iters >= 0):
-            raise DomainError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
-        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0.0):
-            raise DomainError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
+        _check_number(self.max_iters, "max_iters", 0, integer=True)
+        _check_number(self.grad_tol, "grad_tol", 0.0)
 
 
 @dataclass

@@ -605,11 +605,11 @@ def test_synth_deterministic_per_seed():
 def test_synth_errors():
     with pytest.raises(DataError, match="unknown synthetic kind"):
         synth("spiral", 10)
-    with pytest.raises(DataError, match="n >= 1"):
+    with pytest.raises(DataError, match="n must be an integer >= 1"):
         synth("ring", 0)
     with pytest.raises(DataError, match="unknown parameters"):
         synth("ring", 10, wobble=2.0)
-    with pytest.raises(DataError, match="radii"):
+    with pytest.raises(DataError, match="r_out must be a finite number > 1.0"):
         synth("ring", 10, r_in=1.0, r_out=0.5)
     with pytest.raises(DataError, match="height"):
         synth("ring3d", 10, height=0.0)
@@ -617,5 +617,5 @@ def test_synth_errors():
 
 @pytest.mark.parametrize("n", [2.5, True, "3"])
 def test_synth_rejects_a_non_integer_row_count(n):
-    with pytest.raises(DataError, match="integer n >= 1"):
+    with pytest.raises(DataError, match="n must be an integer >= 1"):
         synth("ring", n)

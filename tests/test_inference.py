@@ -254,7 +254,7 @@ def test_calibrate_non_finite_scores_warn_and_pass_through():
 
 @pytest.mark.parametrize("eta", [np.nan, np.inf, -1.0, 0.0])
 def test_calibrate_rejects_a_bad_starting_threshold(eta):
-    with pytest.raises(DomainError, match="eta must be positive and finite"):
+    with pytest.raises(DomainError, match="eta must be a finite number > 0"):
         calibrate_eta([0.1, 0.12, 0.5, 0.52], [-0.5, -0.48, -0.12, -0.1], eta)
 
 

@@ -288,6 +288,27 @@ def _nan_entry(doc):
     doc["frames"]["w1"]["data"][0] = float("nan")
 
 
+def _w1_block(mutate_block):
+    def mutate(doc):
+        mutate_block(doc["frames"]["w1"])
+    return mutate
+
+
+def _first_value(value):
+    def mutate(block):
+        block["data"][0] = value(block["data"][0])
+    return mutate
+
+
+def _nested_data(block):
+    rows, cols = block["shape"]
+    block["data"] = np.reshape(block["data"], (rows, cols)).tolist()
+
+
+def _inferred_rows(block):
+    block["shape"][0] = -1
+
+
 MALFORMED = {
     "eta_effective_nan": ("gods_model", _set("eta_effective", value=float("nan"))),
     "eta_effective_negative": ("gods_model", _set("eta_effective", value=-1.0)),
@@ -297,6 +318,10 @@ MALFORMED = {
     "r1_without_r2": ("gods_model", _stray_r1),
     "kods_b1_1x1": ("kods_model", _set("b1", value={"shape": [1, 1], "data": [0.5]})),
     "w1_nan_entry": ("gods_model", _nan_entry),
+    "w1_string_entry": ("gods_model", _w1_block(_first_value(str))),
+    "w1_bool_entry": ("gods_model", _w1_block(_first_value(bool))),
+    "w1_nested_data": ("gods_model", _w1_block(_nested_data)),
+    "w1_shape_minus_one": ("gods_model", _w1_block(_inferred_rows)),
     "variant_int": ("gods_model", _set("hyper", "variant", value=5)),
     "family_int": ("kods_model", _set("kernel", "family", value=5)),
     "k_fractional": ("gods_model", _set("hyper", "k", value=2.7)),

@@ -466,6 +466,19 @@ def test_init_rejects_empty_data():
         init_frames(np.zeros((0, 4)), 1)
 
 
+def test_init_names_a_non_finite_row():
+    x = np.ones((12, 3))
+    x[5, 1] = np.nan
+    with pytest.raises(DataError, match=r"row 5 has non-finite values"):
+        init_frames(x, 2)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_init_rejects_k_below_one(k):
+    with pytest.raises(DomainError, match="k must be an integer >= 1"):
+        init_frames(np.ones((12, 3)), k)
+
+
 # ---------------------------------------------------------------------------
 # training
 
