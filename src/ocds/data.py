@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -315,6 +316,7 @@ def one_class_split(
     if dataset.labels is None:
         raise DataError("one_class_split needs a labeled dataset")
     _check_number(ratio, "split ratio", 0.0, strict=True, high=1.0, error=DataError)
+    _check_number(seed, "seed", 0, integer=True, error=DataError)
     labels = dataset.labels
     pos = np.flatnonzero(labels == target)
     if pos.size == 0:
@@ -361,6 +363,7 @@ def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
     if kind not in SYNTH_KINDS:
         raise DataError(f"unknown synthetic kind {kind!r}; choose from {SYNTH_KINDS}")
     _check_number(n, "synth n", 1, integer=True, error=DataError)
+    _check_number(seed, "seed", 0, integer=True, error=DataError)
     unknown = sorted(set(params) - set(SYNTH_PARAMS[kind]))
     if unknown:
         raise DataError(f"unknown parameters for synth kind {kind!r}: {unknown}")
@@ -400,15 +403,21 @@ def synth(kind: str, n: int, seed: int = 0, **params) -> Dataset:
 
 def _gaussian_params(d, mean, cov):
     """synth("gaussian")'s (d, mean, cov) checked before any draw: d a
-    whole number >= 1, mean a finite scalar or d-vector (returned as a
-    d-vector), cov a finite variance >= 0 or a symmetric positive definite
-    d x d matrix, the only kind its Cholesky draw reads in full."""
+    whole number >= 1, mean a finite real number or a d-vector of them,
+    bools and strings excluded (returned as a d-vector), cov a finite
+    variance >= 0 or a symmetric positive definite d x d matrix, the only
+    kind its Cholesky draw reads in full."""
     d = int(_check_number(d, "gaussian d", 1, whole=True, error=DataError))
-    variance = cov
+    given, variance = mean, cov
     try:
-        mean, cov = np.asarray(mean, dtype=np.float64), np.asarray(cov, dtype=np.float64)
+        mean, cov = np.asarray(mean), np.asarray(cov, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise DataError(f"gaussian synth needs numeric mean and cov, got {mean!r}, {cov!r}") from None
+    if mean.ndim == 0:
+        _check_number(given, "gaussian mean", -math.inf, error=DataError)
+    elif mean.dtype.kind not in "iuf":
+        raise DataError(f"gaussian mean must be a real number or a vector of them, got {given!r}")
+    mean = mean.astype(np.float64)
     if mean.shape not in ((), (d,)):
         raise DimensionError(f"mean must be scalar or of length {d}, got shape {mean.shape}")
     if not np.isfinite(mean).all():

@@ -5,16 +5,16 @@ bad parameters) and numeric problems (degenerate steps, non-finite
 values, conditioning failures). The CLI maps the first family to exit
 code 1 and the second to exit code 2.
 
-Every scalar parameter (hyperparameters, kernel and solver settings, the
-synthetic-data and split parameters) is checked by one rule,
-_check_number: a real number that is not a bool, finite as a float, at
-or above its bound (above it where the bound is strict) and below its
-upper bound where it has one. Counts (k, n, max_iters) must also be
-integers, and d and the polynomial degree whole numbers. Anything else,
-None, a string or an integer too large for a float included, raises the
-site's own input error (DomainError for hyperparameters, kernels and the
-solver, DataError for synthetic data and splits) naming the parameter
-and the value.
+Every scalar parameter (hyperparameters, seeds, kernel and solver
+settings, the synthetic-data and split parameters) is checked by one
+rule, _check_number: a real number that is not a bool, finite as a
+float, at or above its bound (above it where the bound is strict) and
+below its upper bound where it has one. Counts (k, n, max_iters) and
+seeds must also be integers, and d and the polynomial degree whole
+numbers. Anything else, None, a string or an integer too large for a
+float included, raises the site's own input error (DomainError for
+hyperparameters, kernels, the solver and training, DataError for
+synthetic data and splits) naming the parameter and the value.
 """
 import math
 import numbers

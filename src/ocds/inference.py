@@ -5,6 +5,15 @@ classifier, s2 the largest response of the upper one. A point is in-class
 when s1 >= eta and s2 <= -eta simultaneously. The in-class label is the
 positive class for every metric here.
 
+Both model families form their responses on one path. _response_block
+multiplies a (2K, n) weight block, the lower classifier's K rows over
+the upper's, by a family's tiles of the rows chunk by chunk: the frames
+[W1 W2]^T times row slices for the primal models, the signed kernel
+weights times cross-Gram chunks for KODS. The (2K, m) block it returns
+is reduced to (s1, s2) by _extremes, and to the intercepts that put
+every row of it inside both margins by _intercepts, the one intercept
+rule.
+
 Every ranking metric (roc_points, AUC, the CLI's best F1) reads one
 threshold sweep, _cut_counts, which checks that the ground truth and the
 scores are matching 1-D arrays and that every score is finite.
@@ -36,6 +45,15 @@ __all__ = [
 
 ETA_FLOOR = 1e-6  # calibrated thresholds are clamped here to stay positive
 _TWO_MEANS_SCALE_ABOVE = 2.0**500  # two_means rescales values past this
+
+# Operand entries per chunk in _response_block: 2**17 float64 values
+# (1 MB), so a chunk's tile stays in cache between the pass that forms it
+# (one cdist call for an rbf cross-Gram) and the product that reads it; a
+# 600-row support set scores 218 query rows per chunk, and 60 features
+# 2184 primal rows. When it was chosen on 600 x 20000 rbf scoring (one
+# BLAS thread, median of 15 calls, 4 rounds), 2**16 and 2**18 timed 6%
+# and 10% slower, 2**15 15%, 2**14 28% and 2**19 40% slower.
+_RESPONSE_CHUNK = 1 << 17
 
 
 @dataclass
@@ -71,6 +89,44 @@ def _extremes(p: np.ndarray, k: int):
     smallest of rows :K and the largest of rows K:. Both model families
     score through it."""
     return p[:k].min(axis=0), p[k:].max(axis=0)
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk of _response_block for operands of n columns."""
+    return max(1, _RESPONSE_CHUNK // max(n, 1))
+
+
+def _response_block(w: np.ndarray, m: int, tile) -> np.ndarray:
+    """The (2K, m) block w @ tile(rows).T of the weights w (2K, n) over m
+    rows: the one path by which both families form responses. tile(rows)
+    returns the (h, n) operand of the rows `rows`, a slice of at most
+    _chunk_rows(n) rows; each chunk's product is written into its columns
+    of the block, so no m x n operand is formed here. A column's bits
+    depend on the rows sharing its chunk, so any chunk-aligned slice of
+    the rows gets the very same columns."""
+    step = _chunk_rows(w.shape[1])
+    resp = np.empty((w.shape[0], m))
+    for i in range(0, m, step):
+        rows = slice(i, min(i + step, m))
+        np.matmul(w, tile(rows).T, out=resp[:, rows])
+    return resp
+
+
+def _intercepts(block: np.ndarray, k: int, eta: float):
+    """Intercepts (b1, b2) that put every column of a (2K, m) response
+    block on the feasible side of both margins, with at least one column
+    on each to within one ulp of the larger of eta and the intercept.
+
+    b1 is eta - min(lower) and b2 is -eta - max(upper), per component.
+    Either subtraction rounds, so the margin column's score min(lower) +
+    b1 can land an ulp below eta (max(upper) + b2 above -eta); such an
+    intercept moves to the next float inward. The rounding error is at
+    most half the gap to that float, so the one move puts the margin
+    column inside."""
+    low, high = block[:k].min(axis=1), block[k:].max(axis=1)
+    b1, b2 = eta - low, -eta - high
+    return (np.where(low + b1 < eta, np.nextafter(b1, np.inf), b1),
+            np.where(high + b2 > -eta, np.nextafter(b2, -np.inf), b2))
 
 
 def anomaly_score(s1, s2, eta: float):

@@ -11,10 +11,13 @@ of Y^2 (negated) build the upper one.
 Every response the module forms reads one set of signed weights,
 _weights = [Z^2; -Y^2] (2K x n), whose product with Gram rows is a
 (2K, m) response block laid out as the primal models' (lower responses
-in rows :K, upper in rows K:), reduced to (s1, s2) by
-inference._extremes. The objective and its gradient read _weights @ G;
-scoring and intercept recovery read the block through one chunked loop,
-_response_block.
+in rows :K, upper in rows K:). The objective and its gradient read
+_weights @ G. The module has no response loop or intercept rule of its
+own: scoring and intercept recovery form the block through the loop the
+primal models use too, inference._response_block, the scorer tiling it
+with cross-Gram chunks and recovery with rows of the raw Gram. The
+scorer reduces it to (s1, s2) by inference._extremes, recovery to the
+intercepts by inference._intercepts.
 
 The Gram matrix enters twice, in different roles: a jittered copy defines
 the feasible set (it must be positive definite for the geometry to make
@@ -44,7 +47,7 @@ import numpy as np
 from .data import (_check_hyper, _check_model, _query_rows, _score_one,
                    _training_rows, l2_normalize)
 from .errors import DataError, DegenerateStepError, DimensionError, _check_number
-from .inference import _extremes
+from .inference import _chunk_rows, _extremes, _intercepts, _response_block
 from .kernels import KernelSpec, _factor_pd, gram
 from .manifolds import GeneralizedStiefel, _GeneralizedStiefelPair, _gram_residual
 from .solver import Objective, SolveReport, SolverConfig, minimize
@@ -62,15 +65,6 @@ __all__ = [
     "kods_scores_batch",
     "kods_feasibility",
 ]
-
-# Gram entries per chunk in _response_block: 2**17 float64 values
-# (1 MB), so a chunk's Gram stays in cache between the kernel pass (one
-# cdist call for rbf) and the product that reads it; a 600-row support
-# set scores 218 query rows per chunk. On 600 x 20000 rbf scoring (one
-# BLAS thread, median of 15 calls, 4 rounds), 2**16 and 2**18 timed 6%
-# and 10% slower, 2**15 15%, 2**14 28% and 2**19 40% slower.
-_SCORE_CHUNK = 1 << 17
-
 
 @dataclass
 class KodsHyper:
@@ -185,51 +179,19 @@ def _egrad(y, z, y2, z2, block, hyper: KodsHyper):
     return dy, dz
 
 
-def _response_block(w: np.ndarray, m: int, gram_rows) -> np.ndarray:
-    """The (2K, m) response block of the signed weights w (2K, n) to m
-    rows: the one path by which both scoring and intercept recovery form
-    responses. The rows are read in chunks of max(1, _SCORE_CHUNK // n);
-    gram_rows(rows, out) returns the Gram of the rows `rows` (a slice)
-    against the n support rows, either written into out, a (chunk, n)
-    buffer reused for every chunk, or as a view of a Gram already built.
-    Each chunk's Gram meets w^T in one product, so the m x n Gram is never
-    formed here."""
-    n = w.shape[1]
-    step = max(1, _SCORE_CHUNK // max(n, 1))
-    resp = np.empty((w.shape[0], m))
-    buf = np.empty((min(step, m), n))
-    for i in range(0, m, step):
-        h = min(step, m - i)
-        resp[:, i:i + h] = (gram_rows(slice(i, i + h), buf[:h]) @ w.T).T
-    return resp
-
-
 def recover_primal(duals: DualVars, gram_mat: np.ndarray, eta: float):
     """Intercepts (b1, b2) that place every training point on the feasible
     side of both margins, with at least one point on each to within one
-    ulp of the larger of eta and the intercept.
+    ulp of the larger of eta and the intercept (inference._intercepts).
 
     gram_mat is the raw training Gram. Its rows go through the scorer's
     _response_block, in the scorer's chunks, so the guarantee holds bit
     for bit where the scorer forms the same responses: for the training
     matrix scored as one batch, or any chunk-aligned slice of it. Another
-    slice may round a row's responses apart by a few ulp.
-
-    b1 is eta - min(lower) and b2 is -eta - max(upper), per component.
-    Either subtraction rounds, so the margin row's score min(lower) + b1
-    can land an ulp below eta (max(upper) + b2 above -eta); such an
-    intercept moves to the next float inward. The rounding error is at
-    most half the gap to that float, so the one move puts the margin row
-    inside."""
+    slice may round a row's responses apart by a few ulp."""
     y, z, g = _check_duals(duals, gram_mat)
-    k = y.shape[0]
-    block = _response_block(_weights(y, z), g.shape[0], lambda rows, out: g[rows])
-    low, high = block[:k].min(axis=1), block[k:].max(axis=1)
-    b1 = eta - low
-    b2 = -eta - high
-    b1 = np.where(low + b1 < eta, np.nextafter(b1, np.inf), b1)
-    b2 = np.where(high + b2 > -eta, np.nextafter(b2, -np.inf), b2)
-    return b1, b2
+    block = _response_block(_weights(y, z), g.shape[0], g.__getitem__)
+    return _intercepts(block, y.shape[0], eta)
 
 
 def build_kods_problem(gram_pd: np.ndarray, hyper: KodsHyper, *, _factor=None):
@@ -267,6 +229,7 @@ def kods_train(
     seed: int = 0,
 ) -> tuple[KodsModel, SolveReport]:
     """Fit the kernelized model on one-class training data."""
+    _check_number(seed, "seed", 0, integer=True)
     x = _training_rows(x)
     n = x.shape[0]
     if n < hyper.k:
@@ -331,22 +294,24 @@ def kods_scores_batch(model: KodsModel, x: np.ndarray):
     """Vectorized (s1, s2) arrays over the rows of x, via kernel
     evaluations against the support set.
 
-    Rows are scored query-major by _response_block, in chunks of
-    max(1, _SCORE_CHUNK // n_support) rows, and the extremes are taken
-    over the (2k, m) response block plus the intercepts. Every chunk's
-    cross-Gram is written into one buffer allocated per call, so scoring
-    speed does not depend on which large blocks the process has freed
-    before. A row's scores depend on the rows sharing its chunk (the
-    product may round differently for another chunk height), so they are
-    reproduced bit for bit by scoring any chunk-aligned slice. A row with
-    a non-finite entry raises DataError.
+    Rows are scored query-major by inference._response_block, in chunks
+    of _chunk_rows(n_support) rows, and the extremes are taken over the
+    (2k, m) response block plus the intercepts. Every chunk's cross-Gram
+    is written into one buffer allocated per call, so scoring speed does
+    not depend on which large blocks the process has freed before. A
+    row's scores depend on the rows sharing its chunk (the product may
+    round differently for another chunk height), so they are reproduced
+    bit for bit by scoring any chunk-aligned slice. A row with a
+    non-finite entry raises DataError.
     """
     x, norms = _query_rows(x, model.support.shape[1], model.normalization)
     if norms is not None:
         x = x / norms[:, None]
+    m, n = x.shape[0], model.support.shape[0]
+    buf = np.empty((min(_chunk_rows(n), m), n))
     resp = _response_block(
-        _weights(model.duals.y, model.duals.z), x.shape[0],
-        lambda rows, out: gram(model.kernel, x[rows], model.support, out=out))
+        _weights(model.duals.y, model.duals.z), m,
+        lambda rows: gram(model.kernel, x[rows], model.support, out=buf[:rows.stop - rows.start]))
     resp += np.concatenate((model.b1, model.b2))[:, None]
     return _extremes(resp, model.duals.z.shape[0])
 

@@ -23,12 +23,15 @@ response toward zero; bods instead couples its two hyperplanes through
 
 Training and scoring share one response path, _responses, which returns
 the responses of both frames as one (2K, n) block: rows :K are W1's,
-rows K: are W2's, and each row is contiguous. A row's score is then a
-min or max down a column of K entries, taken as K elementwise passes
-over contiguous rows; on an (n, K) layout numpy reduces along a length-K
-inner axis, its slow path, which costs more than the product itself. The
-gradient folds the lead term and both hinges into one residual block of
-the same shape, so it takes one product with x for both frames.
+rows K: are W2's, and each row is contiguous. It forms the product
+[W1 W2]^T x^T through inference._response_block, tiled with slices of
+the rows: the one loop by which KODS scoring and intercept recovery form
+their responses too. A row's score is then a min or max down a column
+of K entries, taken as K elementwise passes over contiguous rows; on an
+(n, K) layout numpy reduces along a length-K inner axis, its slow path,
+which costs more than the product itself. The gradient folds the lead
+term and both hinges into one residual block of the same shape, so it
+takes one product with x for both frames.
 
 Training normalizes its rows before the fit. Scoring instead applies the
 normalization to the response block: W^T (x / |x|) = (W^T x) / |x|, so
@@ -48,7 +51,7 @@ import numpy as np
 from .data import (_check_hyper, _check_model, _query_rows, _score_one,
                    _training_rows, l2_normalize)
 from .errors import DataError, DimensionError, DomainError, NumericError, _check_number
-from .inference import _extremes
+from .inference import _extremes, _response_block
 from .manifolds import (
     Euclidean,
     Manifold,
@@ -146,12 +149,10 @@ def _responses(frames: FramePair, x: np.ndarray, norms=None) -> np.ndarray:
     [W1 W2]^T x^T + [b1; b2], with gods_n's diag(r) applied first. Given
     row norms, column j of the product is divided by norms[j] before the
     intercepts are added: the responses to the rows x / norms[:, None]."""
-    w1, w2 = frames.w1, frames.w2
+    w = np.concatenate((frames.w1, frames.w2), axis=1)
     if frames.r1 is not None:
-        w1 = w1 * frames.r1
-    if frames.r2 is not None:
-        w2 = w2 * frames.r2
-    p = np.concatenate((w1, w2), axis=1).T @ x.T
+        w = w * np.concatenate((frames.r1, frames.r2))
+    p = _response_block(w.T, x.shape[0], x.__getitem__)
     if norms is not None:
         p /= norms
     p += np.concatenate((frames.b1, frames.b2))[:, None]
@@ -317,10 +318,12 @@ def init_frames(x: np.ndarray, k: int, seed: int = 0) -> FramePair:
     the data from below starts on the span of the 3K nearest rows, the
     opposing frame on the span of the 3K farthest. Intercepts start at
     zero. With fewer than 3K rows the spans are unreliable, so both frames
-    fall back to seeded random draws (with a warning).
+    fall back to seeded random draws (with a warning). The seed must be
+    an integer >= 0 whether or not it is drawn from.
     """
     x = _training_rows(x)
     _check_number(k, "k", 1, integer=True)
+    _check_number(seed, "seed", 0, integer=True)
     n, d = x.shape
     if d < k:
         raise DimensionError(f"k={k} exceeds the feature dimension {d}")

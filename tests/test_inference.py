@@ -7,6 +7,8 @@ import pytest
 from ocds.errors import DataError, DomainError
 from ocds.inference import (
     ETA_FLOOR,
+    _extremes,
+    _intercepts,
     anomaly_score,
     calibrate_eta,
     classify,
@@ -54,6 +56,23 @@ def test_decision_rule_over_arrays_matches_it_row_by_row():
     assert labels.tolist() == [bool(classify(a, b, eta)) for a, b in zip(s1, s2)]
     assert scores.tolist() == [float(anomaly_score(a, b, eta)) for a, b in zip(s1, s2)]
     assert scores.tolist() == [max(eta - a, b + eta) for a, b in zip(s1.tolist(), s2.tolist())]
+
+
+def test_an_intercept_whose_subtraction_rounds_outside_moves_one_float_inward():
+    # 0.9 + (0.3 - 0.9) rounds below 0.3 and 0.9 + (-0.3 - 0.9) above -0.3;
+    # 0.2 + (0.3 - 0.2) and 0.1 + (-0.3 - 0.1) land on the margins exactly.
+    eta = 0.3
+    block = np.array([[0.9, 1.5, 2.0],     # lower component 0: min 0.9
+                      [0.4, 0.2, 0.7],     # lower component 1: min 0.2
+                      [-1.0, 0.9, -3.0],   # upper component 0: max 0.9
+                      [0.1, -2.0, -0.5]])  # upper component 1: max 0.1
+    assert 0.9 + (eta - 0.9) < eta and 0.9 + (-eta - 0.9) > -eta
+    b1, b2 = _intercepts(block, 2, eta)
+    assert b1.tolist() == [np.nextafter(eta - 0.9, np.inf), eta - 0.2]
+    assert b2.tolist() == [np.nextafter(-eta - 0.9, -np.inf), -eta - 0.1]
+    s1, s2 = _extremes(block + np.r_[b1, b2][:, None], 2)
+    assert classify(s1, s2, eta).all()
+    assert s1.min() - eta <= np.spacing(0.9) and -eta - s2.max() <= np.spacing(1.2)
 
 
 # ---------------------------------------------------------------------------

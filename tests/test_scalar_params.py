@@ -69,7 +69,23 @@ SITES = {
     "synth.r_out": (DataError, "r_out", lambda v, m: synth("ring", 5, r_out=v)),
     "synth.height": (DataError, "height", lambda v, m: synth("ring3d", 5, height=v)),
     "one_class_split.ratio": (DataError, "ratio", lambda v, m: _split(v)),
+    "synth.mean": (DataError, "mean", lambda v, m: synth("gaussian", 5, mean=v)),
 }
+
+# Every seed is read by the rule as an integer >= 0, also where it is not
+# drawn from (init_frames on enough rows, train_primal through it).
+SEED_SITES = {
+    "synth.seed": (DataError, lambda v: synth("ring", 5, seed=v)),
+    "one_class_split.seed": (DataError, lambda v: one_class_split(
+        Dataset(features=np.zeros((4, 1)), labels=np.array(["t"] * 4, dtype=object)), "t",
+        seed=v)),
+    "train_primal.seed": (DomainError, lambda v: train_primal(ROWS, GodsHyper(k=2), CFG, seed=v)),
+    "init_frames.seed": (DomainError, lambda v: init_frames(ROWS, 1, seed=v)),
+    "kods_train.seed": (
+        DomainError, lambda v: kods_train(ROWS, KernelSpec("rbf"), KodsHyper(k=1), CFG, seed=v)),
+}
+SITES.update({site: (error, "seed", lambda v, m, call=call: call(v))
+              for site, (error, call) in SEED_SITES.items()})
 
 BAD_VALUES = {"None": None, "str": "1", "bool": True, "nan": math.nan, "inf": math.inf,
               "-inf": -math.inf, "huge_int": 10**400}
@@ -83,6 +99,35 @@ def test_a_bad_scalar_raises_the_sites_own_error(gods_model, kods_model, site, v
     with pytest.raises(error, match=rf"\b({name})\b") as caught:
         call(value, models)
     assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("value", [-1, 1.5], ids=["negative", "fraction"])
+@pytest.mark.parametrize("site", list(SEED_SITES))
+def test_a_negative_or_fractional_seed_raises_the_sites_own_error(site, value):
+    error, call = SEED_SITES[site]
+    with pytest.raises(error, match=r"seed must be an integer >= 0") as caught:
+        call(value)
+    assert type(caught.value) is error
+
+
+def test_a_numpy_integer_seed_draws_the_same_numbers():
+    a, b = synth("ring", 6, seed=np.int64(3)), synth("ring", 6, seed=3)
+    np.testing.assert_array_equal(a.features, b.features)
+
+
+@pytest.mark.parametrize("mean", [[True, False], ["1", "2"], [1 + 2j, 0j]],
+                         ids=["bools", "strings", "complex"])
+def test_a_gaussian_mean_vector_must_hold_real_numbers(mean):
+    with pytest.raises(DataError, match="gaussian mean must be a real number or a vector"):
+        synth("gaussian", 5, d=2, mean=mean)
+
+
+def test_integer_and_float_gaussian_means_draw_the_same_rows():
+    a = synth("gaussian", 6, seed=4, d=2, mean=[1, -2], cov=0.5).features
+    b = synth("gaussian", 6, seed=4, d=2, mean=np.array([1.0, -2.0]), cov=0.5).features
+    c = synth("gaussian", 6, seed=4, d=2, mean=np.float64(2.0), cov=0.5).features
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(c, synth("gaussian", 6, seed=4, d=2, mean=2, cov=0.5).features)
 
 
 def test_an_integer_beyond_the_int_to_str_limit_is_named_without_its_digits():
